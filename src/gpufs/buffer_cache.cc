@@ -419,39 +419,13 @@ BufferCache::fetchPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
         *done = 0;
         return Status::Ok;
     }
-    rpc::RpcRequest req;
-    req.hostFd = f.hostFd;
-    req.offset = page_idx * page_size;
-    req.len = page_size;
-    req.gpuId = dev.id();
-    req.issueTime = ctx.now();
-    req.tenant = f.tenant.load(std::memory_order_relaxed);
-    unsigned owner = pageOwner(f, page_idx);
-    if (shardedFile(f))
-        shards_->recordHeat(req.tenant, f.ino, page_idx, dev.id(), 1);
-    if (owner != dev.id()) {
-        // Non-owner miss: route the demand fetch to the owner GPU's
-        // cache (PeerReadPages, pageCount=1); the daemon falls back to
-        // the host for pages the owner does not hold.
-        req.op = rpc::RpcOp::PeerReadPages;
-        req.peerGpu = owner;
-        req.ino = f.ino;
-        req.version = f.version.load(std::memory_order_relaxed);
-        req.pageLen = page_size;
-        req.pageCount = 1;
-        req.batch[0] = data;
-    } else {
-        req.op = rpc::RpcOp::ReadPage;
-        req.data = data;
-    }
-    rpc::RpcResponse resp = queue.call(req);
-    if (owner != dev.id())
-        cntPeerReadRpcs.inc();
-    else
-        cntReadRpcs.inc();
+    bool peer = false;
+    rpc::RpcResponse resp = queue.call(
+        readRequest(ctx, f, page_idx, &data, 1, /*single=*/true, &peer));
+    (peer ? cntPeerReadRpcs : cntReadRpcs).inc();
     if (!ok(resp.status))
         return resp.status;
-    if (owner != dev.id()) {
+    if (peer) {
         cntPeerPagesForwarded.inc(resp.peerPages);
         cntPeerPagesFallback.inc(resp.peerPages ? 0 : 1);
     }
@@ -1382,49 +1356,57 @@ BufferCache::pinPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
     }
 }
 
+rpc::RpcRequest
+BufferCache::readRequest(gpu::BlockCtx &ctx, CacheFile &f, uint64_t start_idx,
+                         uint8_t *const *dsts, unsigned n, bool single,
+                         bool *peer)
+{
+    const uint64_t page_size = params_.pageSize;
+    rpc::RpcRequest req;
+    req.hostFd = f.hostFd;
+    req.offset = start_idx * page_size;
+    req.len = uint64_t(n) * page_size;
+    req.gpuId = dev.id();
+    req.issueTime = ctx.now();
+    req.tenant = f.tenant.load(std::memory_order_relaxed);
+    if (shardedFile(f))
+        shards_->recordHeat(req.tenant, f.ino, start_idx, dev.id(), n);
+    // Shard-group clipping upstream guarantees one owner per batch, so
+    // the whole run routes to that owner (or to the host when self):
+    // the daemon serves what the owner holds peer-to-peer and falls
+    // back to the host for the rest.
+    unsigned owner = pageOwner(f, start_idx);
+    *peer = owner != dev.id();
+    if (*peer) {
+        req.op = rpc::RpcOp::PeerReadPages;
+        req.peerGpu = owner;
+        req.ino = f.ino;
+        req.version = f.version.load(std::memory_order_relaxed);
+    } else if (single) {
+        req.op = rpc::RpcOp::ReadPage;
+        req.data = dsts[0];
+        return req;
+    } else {
+        req.op = rpc::RpcOp::ReadPages;
+    }
+    req.pageLen = page_size;
+    req.pageCount = n;
+    std::copy(dsts, dsts + n, req.batch);
+    return req;
+}
+
 bool
 BufferCache::submitClaimedFetch(gpu::BlockCtx &ctx, CacheFile &f,
                                 PendingFetch &pf, bool blocking)
 {
     gpufs_assert(pf.n >= 1 && pf.n <= rpc::kMaxBatchPages,
                  "fetch batch size out of range");
-    const uint64_t page_size = params_.pageSize;
-    rpc::RpcRequest req;
-    req.hostFd = f.hostFd;
-    req.offset = pf.startIdx * page_size;
-    req.gpuId = dev.id();
-    req.issueTime = ctx.now();
-    req.tenant = f.tenant.load(std::memory_order_relaxed);
+    uint8_t *dsts[rpc::kMaxBatchPages];
+    for (unsigned i = 0; i < pf.n; ++i)
+        dsts[i] = arena_.data(pf.slots[i].frame);
+    rpc::RpcRequest req =
+        readRequest(ctx, f, pf.startIdx, dsts, pf.n, pf.single, &pf.peer);
     req.speculative = pf.spec;
-    if (shardedFile(f))
-        shards_->recordHeat(req.tenant, f.ino, pf.startIdx, dev.id(),
-                            pf.n);
-    // Shard-group clipping upstream guarantees one owner per batch, so
-    // the whole run routes to that owner (or to the host when self).
-    unsigned owner = pageOwner(f, pf.startIdx);
-    pf.peer = owner != dev.id();
-    if (pf.peer) {
-        req.op = rpc::RpcOp::PeerReadPages;
-        req.peerGpu = owner;
-        req.ino = f.ino;
-        req.version = f.version.load(std::memory_order_relaxed);
-        req.len = uint64_t(pf.n) * page_size;
-        req.pageLen = page_size;
-        req.pageCount = pf.n;
-        for (unsigned i = 0; i < pf.n; ++i)
-            req.batch[i] = arena_.data(pf.slots[i].frame);
-    } else if (pf.single) {
-        req.op = rpc::RpcOp::ReadPage;
-        req.len = page_size;
-        req.data = arena_.data(pf.slots[0].frame);
-    } else {
-        req.op = rpc::RpcOp::ReadPages;
-        req.len = uint64_t(pf.n) * page_size;
-        req.pageLen = page_size;
-        req.pageCount = pf.n;
-        for (unsigned i = 0; i < pf.n; ++i)
-            req.batch[i] = arena_.data(pf.slots[i].frame);
-    }
     // Elevated BEFORE the request is visible to the daemon: a racing
     // fd release must never observe the RPC without the mark.
     f.fetchInFlight.fetch_add(1);

@@ -732,6 +732,17 @@ class BufferCache
                     uint8_t stream = ReadAheadStreams::kNoStream);
 
     /**
+     * The read RPC for pages [start_idx, start_idx + n) of @p f landing
+     * in @p dsts, issued now (the one place read requests are built):
+     * a non-owner miss routes to the owner GPU (PeerReadPages, *peer
+     * set), else ReadPage when @p single, ReadPages otherwise. Records
+     * shard heat for sharded files.
+     */
+    rpc::RpcRequest readRequest(gpu::BlockCtx &ctx, CacheFile &f,
+                                uint64_t start_idx, uint8_t *const *dsts,
+                                unsigned n, bool single, bool *peer);
+
+    /**
      * Build and submit the RPC for a PendingFetch whose slots are
      * already claimed (shared by the sync and split-phase paths);
      * elevates f.fetchInFlight until completeFetch. @p blocking

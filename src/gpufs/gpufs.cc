@@ -956,7 +956,7 @@ GpuFs::gmmap(gpu::BlockCtx &ctx, int fd, uint64_t offset, uint64_t len,
 
     uint32_t frame;
     FPage *fp;
-    st = bc_.pinPage(ctx, e->cf, page_idx, &frame, &fp, false);
+    st = pinPageRetry(bc_, ctx, e->cf, page_idx, &frame, &fp, false);
     if (!ok(st)) {
         if (st_out)
             *st_out = st;

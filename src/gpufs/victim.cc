@@ -143,23 +143,6 @@ VictimCache::probe(uint64_t ino, uint64_t page_idx, uint64_t cur_version,
     return true;
 }
 
-bool
-VictimCache::coversRun(uint64_t ino, uint64_t first_idx, unsigned n,
-                       uint64_t cur_version, const uint64_t *expect) const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    for (unsigned i = 0; i < n; ++i) {
-        if (expect[i] == 0 || expect[i] > pageSize_)
-            return false;
-        auto it = map_.find(keyOf(ino, first_idx + i));
-        if (it == map_.end() || it->second.version != cur_version ||
-            it->second.valid < expect[i]) {
-            return false;
-        }
-    }
-    return true;
-}
-
 void
 VictimCache::invalidateRange(uint64_t ino, uint64_t off, uint64_t len)
 {

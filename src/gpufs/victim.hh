@@ -86,16 +86,6 @@ class VictimCache
     bool probe(uint64_t ino, uint64_t page_idx, uint64_t cur_version,
                uint8_t *dst, uint64_t expect, Time *ready_out);
 
-    /**
-     * Count-free peek: would pages [first_idx, first_idx + n) ALL hit
-     * at @p cur_version with at least expect[i] bytes each? Used by
-     * the daemon's aggregation sweep to route fully-covered requests
-     * to the victim path without perturbing hit/miss accounting or
-     * LRU order for requests that ride the gathered storage read.
-     */
-    bool coversRun(uint64_t ino, uint64_t first_idx, unsigned n,
-                   uint64_t cur_version, const uint64_t *expect) const;
-
     /** Drop entries overlapping [off, off+len) of @p ino (write-path
      *  hygiene; the version gate is the correctness backstop). */
     void invalidateRange(uint64_t ino, uint64_t off, uint64_t len);

@@ -101,93 +101,8 @@ IoResult
 HostFs::pread(int fd, uint8_t *dst, uint64_t len, uint64_t offset,
               Time ready, sim::Resource *io_path)
 {
-    return preadImpl(fd, dst, len, offset, ready, io_path, true);
-}
-
-IoResult
-HostFs::preadUncached(int fd, uint8_t *dst, uint64_t len, uint64_t offset,
-                      Time ready)
-{
-    return preadImpl(fd, dst, len, offset, ready, nullptr, false);
-}
-
-IoResult
-HostFs::preadImpl(int fd, uint8_t *dst, uint64_t len, uint64_t offset,
-                  Time ready, sim::Resource *io_path, bool charge)
-{
-    uint32_t flags;
-    auto node = lookupFd(fd, &flags);
-    if (!node)
-        return {Status::BadFd, 0, ready};
-    if (sim.faults.crashed() || sim.faults.takeFault(sim::FaultOp::HostRead))
-        return {Status::IoError, 0, ready};
-    uint64_t size;
-    uint64_t ino;
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        size = node->size;
-        ino = node->ino;
-    }
-    if (offset >= size)
-        return {Status::Ok, 0, ready};
-    uint64_t n = std::min(len, size - offset);
-    node->content->readAt(offset, n, dst);
-    Time done =
-        charge ? pageCache.chargeRead(ino, offset, n, ready, io_path)
-               : ready;
-    return {Status::Ok, n, done};
-}
-
-IoResult
-HostFs::preadPages(int fd, uint8_t *const *dsts, unsigned n_pages,
-                   uint64_t page_len, uint64_t offset, Time ready,
-                   sim::Resource *io_path)
-{
-    return preadPagesImpl(fd, dsts, n_pages, page_len, offset, ready,
-                          io_path, true);
-}
-
-IoResult
-HostFs::preadPagesUncached(int fd, uint8_t *const *dsts, unsigned n_pages,
-                           uint64_t page_len, uint64_t offset, Time ready)
-{
-    return preadPagesImpl(fd, dsts, n_pages, page_len, offset, ready,
-                          nullptr, false);
-}
-
-IoResult
-HostFs::preadPagesImpl(int fd, uint8_t *const *dsts, unsigned n_pages,
-                       uint64_t page_len, uint64_t offset, Time ready,
-                       sim::Resource *io_path, bool charge)
-{
-    uint32_t flags;
-    auto node = lookupFd(fd, &flags);
-    if (!node)
-        return {Status::BadFd, 0, ready};
-    if (sim.faults.crashed() || sim.faults.takeFault(sim::FaultOp::HostRead))
-        return {Status::IoError, 0, ready};
-    uint64_t size;
-    uint64_t ino;
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        size = node->size;
-        ino = node->ino;
-    }
-    if (offset >= size)
-        return {Status::Ok, 0, ready};
-    uint64_t n = std::min(uint64_t(n_pages) * page_len, size - offset);
-    for (unsigned i = 0; i < n_pages; ++i) {
-        uint64_t base = uint64_t(i) * page_len;
-        if (base >= n)
-            break;
-        node->content->readAt(offset + base, std::min(page_len, n - base),
-                              dsts[i]);
-    }
-    // One contiguous extent, one preadv charge.
-    Time done =
-        charge ? pageCache.chargeRead(ino, offset, n, ready, io_path)
-               : ready;
-    return {Status::Ok, n, done};
+    ReadRun run{offset, &dst, 1, len};
+    return preadRunsImpl(fd, &run, 1, ready, io_path, true);
 }
 
 IoResult
@@ -367,20 +282,6 @@ IoResult
 HostFs::pwrite(int fd, const uint8_t *src, uint64_t len, uint64_t offset,
                Time ready, sim::Resource *io_path)
 {
-    return pwriteImpl(fd, src, len, offset, ready, io_path, true);
-}
-
-IoResult
-HostFs::pwriteUncached(int fd, const uint8_t *src, uint64_t len,
-                       uint64_t offset, Time ready)
-{
-    return pwriteImpl(fd, src, len, offset, ready, nullptr, false);
-}
-
-IoResult
-HostFs::pwriteImpl(int fd, const uint8_t *src, uint64_t len, uint64_t offset,
-                   Time ready, sim::Resource *io_path, bool charge)
-{
     uint32_t flags;
     auto node = lookupFd(fd, &flags);
     if (!node)
@@ -403,10 +304,9 @@ HostFs::pwriteImpl(int fd, const uint8_t *src, uint64_t len, uint64_t offset,
         ino = node->ino;
         ver = node->version;
     }
-    Time done =
-        charge ? pageCache.chargeWrite(ino, offset, len, ready, io_path)
-               : ready;
-    return {Status::Ok, len, done, ver};
+    IoSpan span{offset, len};
+    return {Status::Ok, len,
+            pageCache.chargeWritev(ino, &span, 1, ready, io_path), ver};
 }
 
 IoResult

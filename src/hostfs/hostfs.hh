@@ -105,27 +105,20 @@ class HostFs
     int open(const std::string &path, uint32_t flags, Status *st = nullptr);
     Status close(int fd);
 
+    /** One contiguous read: preadRuns with a single run. */
     IoResult pread(int fd, uint8_t *dst, uint64_t len, uint64_t offset,
                    Time ready = 0, sim::Resource *io_path = nullptr);
+    /** One contiguous write without crash points or short-write
+     *  injection (the journal's append path; the daemon's write-backs
+     *  use pwritev). */
     IoResult pwrite(int fd, const uint8_t *src, uint64_t len, uint64_t offset,
                     Time ready = 0, sim::Resource *io_path = nullptr);
 
     /**
-     * Vectored scatter-read: one contiguous file extent starting at
-     * @p offset lands in @p n_pages buffers of @p page_len bytes each
-     * (dsts[i] receives [offset + i*page_len, ...)), charged as ONE
-     * preadv syscall — the daemon's batched ReadPages path. Bytes
-     * clamp at EOF; tails of partial pages are left untouched.
-     */
-    IoResult preadPages(int fd, uint8_t *const *dsts, unsigned n_pages,
-                        uint64_t page_len, uint64_t offset, Time ready = 0,
-                        sim::Resource *io_path = nullptr);
-
-    /**
      * Gathered scatter-read: every run's extent lands in its page
      * buffers, charged as ONE preadv syscall over all runs (per-run
-     * miss/disk accounting, one copy overhead) — the daemon's
-     * cross-slot aggregated ReadPages path. Per-run byte counts (EOF
+     * miss/disk accounting, one copy overhead) — the daemon's one
+     * storage read per page-service call. Per-run byte counts (EOF
      * clamped; runs entirely past EOF read 0 bytes) return in
      * runs[i].bytes; IoResult.bytes is their sum.
      */
@@ -153,15 +146,8 @@ class HostFs
     // backends call these and put their own device, DMA-engine, and
     // fabric reservations on top (src/storage/*).
 
-    IoResult preadUncached(int fd, uint8_t *dst, uint64_t len,
-                           uint64_t offset, Time ready = 0);
-    IoResult preadPagesUncached(int fd, uint8_t *const *dsts,
-                                unsigned n_pages, uint64_t page_len,
-                                uint64_t offset, Time ready = 0);
     IoResult preadRunsUncached(int fd, ReadRun *runs, unsigned n,
                                Time ready = 0);
-    IoResult pwriteUncached(int fd, const uint8_t *src, uint64_t len,
-                            uint64_t offset, Time ready = 0);
     IoResult pwritevUncached(int fd, const WriteRun *runs, unsigned n,
                              Time ready = 0);
 
@@ -265,16 +251,8 @@ class HostFs
 
     /** Shared bodies of the charged/uncached pairs: @p charge false
      *  skips the HostPageCache charge (done stays @p ready). */
-    IoResult preadImpl(int fd, uint8_t *dst, uint64_t len, uint64_t offset,
-                       Time ready, sim::Resource *io_path, bool charge);
-    IoResult preadPagesImpl(int fd, uint8_t *const *dsts, unsigned n_pages,
-                            uint64_t page_len, uint64_t offset, Time ready,
-                            sim::Resource *io_path, bool charge);
     IoResult preadRunsImpl(int fd, ReadRun *runs, unsigned n, Time ready,
                            sim::Resource *io_path, bool charge);
-    IoResult pwriteImpl(int fd, const uint8_t *src, uint64_t len,
-                        uint64_t offset, Time ready, sim::Resource *io_path,
-                        bool charge);
     IoResult pwritevImpl(int fd, const WriteRun *runs, unsigned n,
                          Time ready, sim::Resource *io_path, bool charge);
     IoResult fsyncImpl(int fd, Time ready, bool charge);

@@ -81,102 +81,6 @@ HostPageCache::touchLocked(const Key &key, bool dirty, bool &was_resident)
 }
 
 Time
-HostPageCache::chargeRead(uint64_t ino, uint64_t offset, uint64_t len,
-                          Time ready, sim::Resource *io_path)
-{
-    if (len == 0)
-        return ready;
-    const auto &p = sim.params;
-    uint64_t g = granuleSize();
-    uint64_t first = offset / g;
-    uint64_t last = (offset + len - 1) / g;
-
-    uint64_t miss_bytes = 0;
-    uint64_t miss_extents = 0;
-    uint64_t writeback_bytes = 0;
-    bool in_miss_run = false;
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        for (uint64_t gi = first; gi <= last; ++gi) {
-            bool resident;
-            writeback_bytes += touchLocked({ino, gi}, false, resident);
-            if (!resident) {
-                miss_bytes += g;
-                if (!in_miss_run)
-                    ++miss_extents;
-                in_miss_run = true;
-            } else {
-                in_miss_run = false;
-            }
-        }
-    }
-    hitBytes.inc(len > miss_bytes ? len - miss_bytes : 0);
-    missBytes.inc(std::min(miss_bytes, len));
-
-    if (!p.chargeHostIo)
-        return ready;
-
-    Time t = ready;
-    if (miss_bytes > 0 || writeback_bytes > 0) {
-        Time disk_dur = miss_extents * p.diskAccessLat
-            + transferTime(miss_bytes, p.diskReadMBps)
-            + transferTime(writeback_bytes, p.diskWriteMBps);
-        // Pinned memory squeezes the page cache into direct reclaim
-        // (§5.1.4): scale disk time by the pressure factor.
-        double pinned_frac;
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            pinned_frac = p.hostCacheBytes
-                ? double(pinnedBytes) / double(p.hostCacheBytes) : 0.0;
-        }
-        disk_dur = Time(double(disk_dur) *
-                        (1.0 + p.pinnedReclaimPenalty * pinned_frac));
-        t = sim.disk.reserve(t, disk_dur).end;
-    }
-    Time copy_dur = p.preadOverhead + transferTime(len, p.hostCacheReadMBps);
-    if (io_path)
-        t = io_path->reserve(t, copy_dur).end;
-    else
-        t += copy_dur;
-    return t;
-}
-
-Time
-HostPageCache::chargeWrite(uint64_t ino, uint64_t offset, uint64_t len,
-                           Time ready, sim::Resource *io_path)
-{
-    if (len == 0)
-        return ready;
-    const auto &p = sim.params;
-    uint64_t g = granuleSize();
-    uint64_t first = offset / g;
-    uint64_t last = (offset + len - 1) / g;
-
-    uint64_t writeback_bytes = 0;
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        for (uint64_t gi = first; gi <= last; ++gi) {
-            bool resident;
-            writeback_bytes += touchLocked({ino, gi}, true, resident);
-        }
-    }
-    if (!p.chargeHostIo)
-        return ready;
-
-    Time t = ready;
-    if (writeback_bytes > 0) {
-        t = sim.disk.reserve(
-            t, transferTime(writeback_bytes, p.diskWriteMBps)).end;
-    }
-    Time copy_dur = p.preadOverhead + transferTime(len, p.hostCacheWriteMBps);
-    if (io_path)
-        t = io_path->reserve(t, copy_dur).end;
-    else
-        t += copy_dur;
-    return t;
-}
-
-Time
 HostPageCache::chargeWritev(uint64_t ino, const IoSpan *runs, unsigned n,
                             Time ready, sim::Resource *io_path)
 {
@@ -263,6 +167,8 @@ HostPageCache::chargeReadv(uint64_t ino, const IoSpan *spans, unsigned n,
         Time disk_dur = miss_extents * p.diskAccessLat
             + transferTime(miss_bytes, p.diskReadMBps)
             + transferTime(writeback_bytes, p.diskWriteMBps);
+        // Pinned memory squeezes the page cache into direct reclaim
+        // (§5.1.4): scale disk time by the pressure factor.
         double pinned_frac;
         {
             std::lock_guard<std::mutex> lock(mtx);

@@ -45,37 +45,23 @@ class HostPageCache
     explicit HostPageCache(sim::SimContext &sim_ctx);
 
     /**
-     * Charge a read of [offset, offset+len) of inode @p ino, ready at
-     * virtual time @p ready. Missing granules reserve the disk; all
-     * bytes then pay host-cache read bandwidth on @p io_path if
-     * non-null (the serialized daemon path) or inline otherwise.
-     * @return virtual completion time.
-     */
-    Time chargeRead(uint64_t ino, uint64_t offset, uint64_t len, Time ready,
-                    sim::Resource *io_path);
-
-    /**
-     * Charge a write of [offset, offset+len): bytes land in the cache
-     * (become resident + dirty) at cache-write bandwidth.
-     */
-    Time chargeWrite(uint64_t ino, uint64_t offset, uint64_t len, Time ready,
-                     sim::Resource *io_path);
-
-    /**
-     * Vectored chargeWrite: touch every run's granules (resident +
-     * dirty) but charge ONE syscall overhead plus the runs' total
-     * bytes — the cost of a single gathered pwritev, which is how the
-     * daemon lands multi-run write-backs.
+     * Charge one gathered write (pwritev) of @p n runs of inode @p ino,
+     * ready at virtual time @p ready: every run's granules become
+     * resident + dirty (evicting dirty LRU victims costs a disk
+     * write), then ONE syscall overhead plus the runs' total bytes at
+     * cache-write bandwidth on @p io_path if non-null (the serialized
+     * daemon path) or inline otherwise. @return completion time.
      */
     Time chargeWritev(uint64_t ino, const IoSpan *runs, unsigned n,
                       Time ready, sim::Resource *io_path);
 
     /**
-     * Vectored chargeRead: miss/disk accounting runs per span exactly
-     * as n chargeRead calls would, but the copy out of the cache pays
-     * ONE syscall overhead plus the spans' total bytes — a single
-     * gathered preadv, which is how the daemon serves a cross-slot
-     * aggregated ReadPages group.
+     * Charge one gathered read (preadv) of @p n spans: per span,
+     * missing granules reserve the disk (each contiguous miss run one
+     * seek; spans never fuse, since they may belong to different
+     * requesters), then the copy out of the cache pays ONE syscall
+     * overhead plus the spans' total bytes at host-cache read
+     * bandwidth. A single contiguous read is the one-span case.
      */
     Time chargeReadv(uint64_t ino, const IoSpan *spans, unsigned n,
                      Time ready, sim::Resource *io_path);

@@ -93,27 +93,95 @@ constexpr Time kIoRetryBackoff = 20000;  // 20us, doubling per attempt
  *  that claimed a slot and stalled can never wedge parked requests. */
 constexpr unsigned kLingerMaxSpins = 4000;
 
+/**
+ * O_GWRONCE: the pristine copy is implicitly all zeros, so the
+ * locally-modified bytes are exactly the non-zero ones. Append maximal
+ * non-zero runs of [data, data+len) (landing at file offset @p off) so
+ * concurrent writers to other regions of the same page are not
+ * reverted (§3.1).
+ */
+void
+appendZeroDiffRuns(std::vector<hostfs::WriteRun> &runs, uint64_t off,
+                   const uint8_t *data, uint64_t len)
+{
+    uint64_t i = 0;
+    while (i < len) {
+        while (i < len && data[i] == 0)
+            ++i;
+        uint64_t run = i;
+        while (run < len && data[run] != 0)
+            ++run;
+        if (run > i)
+            runs.push_back({off + i, run - i, data + i});
+        i = run;
+    }
+}
+
+/** A write op whose payload is well formed: a batched op carries
+ *  1..kMaxBatchPages extents, and a peer write names its page size. */
+bool
+wellFormedWrite(const RpcRequest &req)
+{
+    switch (req.op) {
+      case RpcOp::WriteBack:
+        return true;
+      case RpcOp::PeerWritePages:
+        if (req.pageLen == 0)
+            return false;
+        [[fallthrough]];
+      case RpcOp::WritePages:
+        return req.pageCount > 0 && req.pageCount <= kMaxBatchPages;
+      default:
+        return false;
+    }
+}
+
+/**
+ * The host write runs of a write-op request (empty for anything else
+ * or a malformed batch): each non-empty extent, split into its
+ * non-zero runs under O_GWRONCE. The sweep's journal preflight and
+ * applyWrites both build runs here, so the journal records exactly the
+ * bytes that land in place.
+ */
+std::vector<hostfs::WriteRun>
+writeRunsOf(const RpcRequest &req)
+{
+    std::vector<hostfs::WriteRun> runs;
+    if (!wellFormedWrite(req))
+        return runs;
+    auto add = [&](uint64_t off, const uint8_t *data, uint64_t len) {
+        if (len == 0)
+            return;
+        if (req.diffAgainstZeros)
+            appendZeroDiffRuns(runs, off, data, len);
+        else
+            runs.push_back({off, len, data});
+    };
+    if (req.op == RpcOp::WriteBack) {
+        add(req.offset, req.data, req.len);
+    } else {
+        for (unsigned i = 0; i < req.pageCount; ++i)
+            add(req.batchOff[i], req.batch[i], req.batchLen[i]);
+    }
+    return runs;
+}
+
+} // namespace
+
 template <typename Fn>
 hostfs::IoResult
-retryTransient(hostfs::HostFs &fs, Counter &retries, Counter &giveups,
-               Fn &&fn)
+CpuDaemon::retryIo(Fn &&fn)
 {
     hostfs::IoResult r = fn(Time(0));
     for (unsigned attempt = 1; r.status == Status::IoError &&
          attempt <= kMaxIoRetries && !fs.crashed(); ++attempt) {
-        retries.inc();
+        ioRetries.inc();
         r = fn(kIoRetryBackoff << attempt);
     }
     if (r.status == Status::IoError)
-        giveups.inc();
+        ioRetryGiveups.inc();
     return r;
 }
-
-// Defined below, next to the write-back handlers that share it.
-void appendZeroDiffRuns(std::vector<hostfs::WriteRun> &runs, uint64_t off,
-                        const uint8_t *data, uint64_t len);
-
-} // namespace
 
 void
 CpuDaemon::enableJournal()
@@ -137,7 +205,7 @@ CpuDaemon::durableFd(int fd, uint64_t *ino_out)
 
 Status
 CpuDaemon::maybeJournal(int fd, const hostfs::WriteRun *runs, unsigned n,
-                        Time &t, sim::Resource *io, bool *journaled)
+                        Time &t, sim::Resource *io, bool &journaled)
 {
     if (!journal_)
         return Status::Ok;
@@ -150,39 +218,30 @@ CpuDaemon::maybeJournal(int fd, const hostfs::WriteRun *runs, unsigned n,
         // so the WAL rule (commit durable before the in-place write)
         // holds without a per-RPC fsync here.
         slotPrejournaled_ = false;
-        journalCommits.inc();
-        journalUnapplied_.fetch_add(1, std::memory_order_relaxed);
-        if (journaled)
-            *journaled = true;
         t = std::max(t, slotPrejournalTime_);
-        // Crash point "commit durable, in-place write never ran":
-        // exactly the window recovery's replay exists for.
-        if (fs.maybeCrash(sim::CrashPoint::AfterJournalCommit))
-            return Status::IoError;
-        return Status::Ok;
-    }
-    // Fallback (preflight append failed or was skipped): per-RPC
-    // append + fsync. The sync cannot be deferred to the sweep's end —
-    // a crash reverts un-fsynced journal records, so an in-place write
-    // issued before the sync would be unrecoverable if torn.
-    const Time base = t;
-    hostfs::IoResult j = retryTransient(
-        fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
+    } else {
+        // Fallback (preflight append failed or was skipped): per-RPC
+        // append + fsync. The sync cannot be deferred to the sweep's
+        // end — a crash reverts un-fsynced journal records, so an
+        // in-place write issued before the sync would be unrecoverable
+        // if torn.
+        const Time base = t;
+        hostfs::IoResult j = retryIo([&](Time backoff) {
             return journal_->append(ino, runs, n, base + backoff, io);
         });
-    if (!ok(j.status))
-        return j.status;
-    hostfs::IoResult s = retryTransient(
-        fs, ioRetries, ioRetryGiveups,
-        [&](Time backoff) { return journal_->groupSync(j.done + backoff); });
-    if (!ok(s.status))
-        return s.status;
-    journalGroupSyncs.inc();
+        if (!ok(j.status))
+            return j.status;
+        hostfs::IoResult s = retryIo([&](Time backoff) {
+            return journal_->groupSync(j.done + backoff);
+        });
+        if (!ok(s.status))
+            return s.status;
+        journalGroupSyncs.inc();
+        t = s.done;
+    }
     journalCommits.inc();
     journalUnapplied_.fetch_add(1, std::memory_order_relaxed);
-    if (journaled)
-        *journaled = true;
-    t = s.done;
+    journaled = true;
     // Crash point "commit durable, in-place write never ran": exactly
     // the window recovery's replay exists for.
     if (fs.maybeCrash(sim::CrashPoint::AfterJournalCommit))
@@ -197,8 +256,7 @@ CpuDaemon::flushJournalSync()
     // recovery's replay, and fsyncing a dead store is not transient.
     if (!journal_ || !journal_->syncPending() || fs.crashed())
         return Status::Ok;
-    hostfs::IoResult s = retryTransient(
-        fs, ioRetries, ioRetryGiveups,
+    hostfs::IoResult s = retryIo(
         [&](Time backoff) { return journal_->groupSync(backoff); });
     if (!ok(s.status))
         return s.status;
@@ -216,57 +274,18 @@ CpuDaemon::prejournalSweep(unsigned port_idx, RpcSlot **all,
     bool appended = false;
     for (unsigned s = 0; s < total; ++s) {
         const RpcRequest &req = all[s]->req;
-        // Reconstruct exactly the runs the handler will journal (same
-        // validation guards, same zero-diff split) — the staging bytes
-        // are already host-visible when the slot is claimed; only the
-        // D2H DMA's virtual-time charge happens later in the handler.
-        std::vector<hostfs::WriteRun> runs;
-        switch (req.op) {
-        case RpcOp::WritePages:
-            if (req.pageCount == 0 || req.pageCount > kMaxBatchPages)
-                continue;
-            for (unsigned i = 0; i < req.pageCount; ++i) {
-                if (req.batchLen[i] == 0)
-                    continue;
-                if (req.diffAgainstZeros) {
-                    appendZeroDiffRuns(runs, req.batchOff[i],
-                                       req.batch[i], req.batchLen[i]);
-                } else {
-                    runs.push_back({req.batchOff[i], req.batchLen[i],
-                                    req.batch[i]});
-                }
-            }
-            break;
-        case RpcOp::PeerWritePages:
-            if (req.pageCount == 0 || req.pageCount > kMaxBatchPages ||
-                req.pageLen == 0)
-                continue;
-            for (unsigned i = 0; i < req.pageCount; ++i) {
-                if (req.batchLen[i] == 0)
-                    continue;
-                runs.push_back({req.batchOff[i], req.batchLen[i],
-                                req.batch[i]});
-            }
-            break;
-        case RpcOp::WriteBack:
-            if (req.diffAgainstZeros)
-                appendZeroDiffRuns(runs, req.offset, req.data, req.len);
-            else if (req.len > 0)
-                runs.push_back({req.offset, req.len, req.data});
-            break;
-        default:
-            continue;
-        }
+        // The staging bytes are already host-visible when the slot is
+        // claimed; only the D2H DMA's virtual-time charge happens later
+        // in applyWrites.
+        std::vector<hostfs::WriteRun> runs = writeRunsOf(req);
         uint64_t ino = 0;
         if (runs.empty() || !durableFd(req.hostFd, &ino))
             continue;
-        hostfs::IoResult j = retryTransient(
-            fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-                return journal_->append(ino, runs.data(),
-                                        static_cast<unsigned>(runs.size()),
-                                        req.issueTime + backoff,
-                                        &sim.cpuIo);
-            });
+        hostfs::IoResult j = retryIo([&](Time backoff) {
+            return journal_->append(ino, runs.data(),
+                                    static_cast<unsigned>(runs.size()),
+                                    req.issueTime + backoff, &sim.cpuIo);
+        });
         if (!ok(j.status))
             continue; // handler's maybeJournal falls back per-RPC
         prejournalDone_[all[s]] = j.done;
@@ -274,8 +293,7 @@ CpuDaemon::prejournalSweep(unsigned port_idx, RpcSlot **all,
     }
     if (!appended)
         return;
-    hostfs::IoResult gs = retryTransient(
-        fs, ioRetries, ioRetryGiveups,
+    hostfs::IoResult gs = retryIo(
         [&](Time backoff) { return journal_->groupSync(backoff); });
     if (!ok(gs.status) || fs.crashed()) {
         // The group fsync failed (or a crash fired mid-preflight): the
@@ -490,10 +508,10 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
     prejournalSweep(port_idx, all, total);
     // Cross-block RPC aggregation: the burst a coalesced doorbell
     // delivered as one sweep usually carries many blocks' ReadPages
-    // on the SAME file (a shared scan) — gather each same-file set
-    // into one host read instead of k. Groups are serviced at their
-    // first member's place in the emission order; everything else
-    // keeps the plain per-slot path.
+    // on the SAME file (a shared scan) — serve each same-file set with
+    // one servePages call (one gathered storage read) instead of k.
+    // Groups are serviced at their first member's place in the
+    // emission order; everything else keeps the plain per-slot path.
     bool taken[2 * kQueueSlots] = {};
     for (unsigned s = 0; s < total; ++s) {
         if (taken[s])
@@ -501,35 +519,52 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
         RpcSlot *group[2 * kQueueSlots];
         unsigned k = 0;
         const RpcRequest &req = all[s]->req;
-        // Requests the victim tier fully covers stay OUT of the
-        // gathered storage read: served individually they skip the
-        // host read entirely (one H2D from host RAM), which is the
-        // whole point of the tier. victimCoversReq is a count-free
-        // peek, so members that do ride a group keep exact hit/miss
-        // accounting.
-        if (req.op == RpcOp::ReadPages && req.pageCount > 0 &&
-            req.pageCount <= kMaxBatchPages && !victimCoversReq(req)) {
+        auto groupable = [&](const RpcRequest &r) {
+            return r.op == RpcOp::ReadPages && r.hostFd == req.hostFd &&
+                r.pageCount > 0 && r.pageCount <= kMaxBatchPages;
+        };
+        if (groupable(req)) {
             group[k++] = all[s];
             for (unsigned t = s + 1; t < total; ++t) {
-                if (taken[t])
-                    continue;
-                const RpcRequest &r2 = all[t]->req;
-                if (r2.op == RpcOp::ReadPages &&
-                    r2.hostFd == req.hostFd &&
-                    r2.pageCount > 0 && r2.pageCount <= kMaxBatchPages &&
-                    !victimCoversReq(r2)) {
+                if (!taken[t] && groupable(all[t]->req)) {
                     group[k++] = all[t];
                     taken[t] = true;
                 }
             }
         }
         if (k >= 2) {
-            handleReadPagesGroup(port_idx, group, k);
-            requestsServed.inc(k);
+            // One daemon action for the whole group: the shared
+            // CPU-overhead reservation starts once the LAST member's
+            // request has crossed the queue — k requests, ONE
+            // rpcCpuOverhead instead of k.
+            auto &sim = port.dev->simContext();
+            const RpcRequest *reqs[2 * kQueueSlots];
+            Time ready = 0;
             for (unsigned m = 0; m < k; ++m) {
-                tenantRpcs[group[m]->req.tenant % core::kMaxTenants]
-                    ->inc();
+                reqs[m] = &group[m]->req;
+                ready = std::max(ready, reqs[m]->issueTime);
             }
+            Time t0 = sim.cpuIo.reserve(ready + sim.params.rpcSubmitLat,
+                                        sim.params.rpcCpuOverhead).end;
+            std::vector<RpcResponse> resps(k);
+            if (ok(servePages(*port.dev, reqs, k, t0, resps.data()))) {
+                coalescedRpcs.inc(k - 1);
+            } else {
+                // Gathered read refused (stale fd raced a close, or a
+                // host fault outlived the retry budget): serve each
+                // member alone so per-slot status stays exact — a
+                // member that still fails completes with its error and
+                // the requesting GPU restores the frames it claimed.
+                for (unsigned m = 0; m < k; ++m)
+                    resps[m] = handle(port_idx, *reqs[m]);
+            }
+            // Count before completing: a completed slot may be reused
+            // by its submitter at once.
+            for (unsigned m = 0; m < k; ++m) {
+                tenantRpcs[reqs[m]->tenant % core::kMaxTenants]->inc();
+                RpcQueue::complete(*group[m], resps[m]);
+            }
+            requestsServed.inc(k);
         } else if (k == 1 && linger_ != 0 && !had_parked &&
                    port.queue->occupiedHint() > 0) {
             // Under-filled group with the burst visibly still arriving
@@ -547,9 +582,9 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
             }
             RpcResponse resp = handle(port_idx, req);
             slotPrejournaled_ = false;
+            tenantRpcs[req.tenant % core::kMaxTenants]->inc();
             RpcQueue::complete(*all[s], resp);
             requestsServed.inc();
-            tenantRpcs[req.tenant % core::kMaxTenants]->inc();
         }
     }
     // Belt and braces: a per-RPC fallback append syncs inline, so
@@ -609,65 +644,6 @@ CpuDaemon::drrOrder(GpuPort &port, RpcSlot **batch, unsigned n)
     }
 }
 
-void
-CpuDaemon::handleReadPagesGroup(unsigned port_idx, RpcSlot **group,
-                                unsigned k)
-{
-    gpu::GpuDevice &dev = *ports[port_idx]->dev;
-    auto &sim = dev.simContext();
-    const auto &p = sim.params;
-
-    // One daemon action for the whole group: the sweep claimed every
-    // member together, so the shared CPU-overhead reservation starts
-    // once the LAST member's request has crossed the queue — k
-    // requests, ONE rpcCpuOverhead instead of k.
-    Time ready = 0;
-    for (unsigned m = 0; m < k; ++m)
-        ready = std::max(ready, group[m]->req.issueTime);
-    ready += p.rpcSubmitLat;
-    Time t0 = sim.cpuIo.reserve(ready, p.rpcCpuOverhead).end;
-
-    std::vector<hostfs::ReadRun> runs(k);
-    for (unsigned m = 0; m < k; ++m) {
-        const RpcRequest &req = group[m]->req;
-        runs[m] = {req.offset, req.batch, req.pageCount, req.pageLen};
-    }
-    hostfs::IoResult r = retryTransient(
-        fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-            return backend_->readRuns(group[0]->req.hostFd, runs.data(), k,
-                                      t0 + backoff, dev.id());
-        });
-    if (!ok(r.status)) {
-        // Gathered read refused (stale fd raced a close, or a host
-        // fault outlived the retry budget): fall back to serving each
-        // member alone so per-slot status stays exact — a member that
-        // still fails completes with its error IoResult and the
-        // requesting GPU restores the frames it claimed.
-        for (unsigned m = 0; m < k; ++m) {
-            RpcResponse resp = handle(port_idx, group[m]->req);
-            RpcQueue::complete(*group[m], resp);
-        }
-        return;
-    }
-    hostReadCalls.inc();
-    coalescedRpcs.inc(k - 1);
-    for (unsigned m = 0; m < k; ++m) {
-        if (group[m]->req.speculative)
-            raPagesFetched.inc(group[m]->req.pageCount);
-    }
-
-    // The gathered bytes ride ONE H2D DMA reservation (one setup cost);
-    // every member's completion fans back out with its own byte count.
-    Time done = chargeH2dDma(dev, r.bytes, r.done);
-    for (unsigned m = 0; m < k; ++m) {
-        RpcResponse resp;
-        resp.status = Status::Ok;
-        resp.bytes = runs[m].bytes;
-        resp.done = done;
-        RpcQueue::complete(*group[m], resp);
-    }
-}
-
 RpcResponse
 CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
 {
@@ -680,52 +656,28 @@ CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
     Time ready = req.issueTime + p.rpcSubmitLat;
     Time t0 = sim.cpuIo.reserve(ready, p.rpcCpuOverhead).end;
 
+    // Metadata ops complete with the CPU slot; data ops set their own.
     RpcResponse resp;
+    resp.done = t0;
     switch (req.op) {
       case RpcOp::Open:
-        resp = handleOpen(dev, req);
-        resp.done = t0;
+        handleOpen(dev, req, resp);
         break;
       case RpcOp::Close:
-        resp = handleClose(dev, req);
-        resp.done = t0;
+        handleClose(dev, req, resp);
         break;
-      case RpcOp::ReadPage: {
-        RpcRequest timed = req;
-        timed.issueTime = t0;
-        resp = handleReadPage(dev, timed);
-        break;
-      }
-      case RpcOp::ReadPages: {
-        RpcRequest timed = req;
-        timed.issueTime = t0;
-        resp = handleReadPages(dev, timed);
-        break;
-      }
-      case RpcOp::WriteBack: {
-        RpcRequest timed = req;
-        timed.issueTime = t0;
-        resp = handleWriteBack(dev, timed);
-        break;
-      }
-      case RpcOp::WritePages: {
-        RpcRequest timed = req;
-        timed.issueTime = t0;
-        resp = handleWritePages(dev, timed);
-        break;
-      }
+      case RpcOp::ReadPage:
+      case RpcOp::ReadPages:
       case RpcOp::PeerReadPages: {
-        RpcRequest timed = req;
-        timed.issueTime = t0;
-        resp = handlePeerReadPages(dev, timed);
+        const RpcRequest *one = &req;
+        servePages(dev, &one, 1, t0, &resp);
         break;
       }
-      case RpcOp::PeerWritePages: {
-        RpcRequest timed = req;
-        timed.issueTime = t0;
-        resp = handlePeerWritePages(dev, timed);
+      case RpcOp::WriteBack:
+      case RpcOp::WritePages:
+      case RpcOp::PeerWritePages:
+        resp = applyWrites(dev, req, t0);
         break;
-      }
       case RpcOp::Fsync: {
         uint64_t ino = 0;
         if (req.durableBarrier && journal_ && durableFd(req.hostFd, &ino)) {
@@ -734,21 +686,13 @@ CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
             // out first (same-sweep appends must be covered), then
             // answer from the commit record. No data-file fsync.
             journalCommitBarriers.inc();
-            Status js = flushJournalSync();
-            if (!ok(js)) {
-                resp.status = js;
-                resp.done = t0;
-                break;
-            }
-            resp.status = Status::Ok;
-            resp.done = std::max(t0, journal_->lastCommitDone(ino));
+            resp.status = flushJournalSync();
+            if (ok(resp.status))
+                resp.done = std::max(t0, journal_->lastCommitDone(ino));
         } else {
-            hostfs::IoResult r = retryTransient(
-                fs, ioRetries, ioRetryGiveups,
-                [&](Time backoff) {
-                    return backend_->sync(req.hostFd, t0 + backoff,
-                                          dev.id());
-                });
+            hostfs::IoResult r = retryIo([&](Time backoff) {
+                return backend_->sync(req.hostFd, t0 + backoff, dev.id());
+            });
             resp.status = r.status;
             resp.done = r.done;
         }
@@ -763,7 +707,6 @@ CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
                 resp.version = info.version;
             }
         }
-        resp.done = t0;
         break;
       }
       case RpcOp::Unlink: {
@@ -774,7 +717,6 @@ CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
                 victim_->dropFile(info.ino);
         }
         resp.status = fs.unlink(req.path);
-        resp.done = t0;
         break;
       }
       case RpcOp::Stat: {
@@ -785,25 +727,23 @@ CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
             resp.size = info.size;
             resp.version = info.version;
         }
-        resp.done = t0;
         break;
       }
       case RpcOp::Nop:
-        resp.done = t0;
         break;
     }
     return resp;
 }
 
-RpcResponse
-CpuDaemon::handleOpen(gpu::GpuDevice &dev, const RpcRequest &req)
+void
+CpuDaemon::handleOpen(gpu::GpuDevice &dev, const RpcRequest &req,
+                      RpcResponse &resp)
 {
-    RpcResponse resp;
     Status st;
     int fd = fs.open(req.path, req.flags, &st);
     if (fd < 0) {
         resp.status = st;
-        return resp;
+        return;
     }
     hostfs::FileInfo info;
     fs.fstat(fd, &info);
@@ -813,7 +753,7 @@ CpuDaemon::handleOpen(gpu::GpuDevice &dev, const RpcRequest &req)
     if (!ok(adm)) {
         fs.close(fd);
         resp.status = adm;
-        return resp;
+        return;
     }
     {
         std::lock_guard<std::mutex> lock(claimMtx);
@@ -825,13 +765,12 @@ CpuDaemon::handleOpen(gpu::GpuDevice &dev, const RpcRequest &req)
     resp.ino = info.ino;
     resp.size = info.size;
     resp.version = info.version;
-    return resp;
 }
 
-RpcResponse
-CpuDaemon::handleClose(gpu::GpuDevice &dev, const RpcRequest &req)
+void
+CpuDaemon::handleClose(gpu::GpuDevice &dev, const RpcRequest &req,
+                       RpcResponse &resp)
 {
-    RpcResponse resp;
     FdClaim claim{0, false, false};
     bool have_claim = false;
     {
@@ -846,218 +785,33 @@ CpuDaemon::handleClose(gpu::GpuDevice &dev, const RpcRequest &req)
     if (have_claim)
         consistency.releaseOpen(dev.id(), claim.ino, claim.write);
     resp.status = fs.close(req.hostFd);
-    return resp;
 }
 
 Time
-CpuDaemon::chargeH2dDma(gpu::GpuDevice &dev, uint64_t bytes, Time ready)
+CpuDaemon::chargePcie(gpu::GpuDevice &dev, PcieHop hop, uint64_t bytes,
+                      Time ready)
 {
-    // Staging -> GPU: one DMA reservation on this GPU's H2D channel.
-    // Functionally the host read already placed the bytes (one copy in
-    // simulation).
+    // Staging <-> GPU: one DMA reservation on this GPU's PCIe channel
+    // for the direction. Functionally the host I/O already moved the
+    // bytes (one copy in simulation).
     auto &sim = dev.simContext();
     const auto &p = sim.params;
-    bytesToGpu.inc(bytes);
-    // Zero-copy backends DMA straight into the frame arena — the read
-    // charge already covered the wire, so no second PCIe hop here.
-    if (bytes == 0 || !p.chargeDma || backend_->directToGpu())
+    const bool h2d = hop != PcieHop::GpuToStorage;
+    (h2d ? bytesToGpu : bytesFromGpu).inc(bytes);
+    // Zero-copy backends DMA storage bytes straight between storage
+    // and the frame arena — the backend's charge already covered the
+    // wire. Victim-tier bytes sit in pinned host RAM and cross PCIe
+    // with any backend.
+    if (bytes == 0 || !p.chargeDma ||
+        (hop != PcieHop::VictimToGpu && backend_->directToGpu())) {
         return ready;
-    Time dur = p.dmaSetup + transferTime(bytes, p.pcieBwH2DMBps);
-    sim::Resource &channel =
-        p.serializeDmaWithIo ? sim.cpuIo : dev.pcieH2D();
+    }
+    Time dur = p.dmaSetup
+        + transferTime(bytes, h2d ? p.pcieBwH2DMBps : p.pcieBwD2HMBps);
+    sim::Resource &channel = p.serializeDmaWithIo ? sim.cpuIo
+        : h2d                                     ? dev.pcieH2D()
+                                                  : dev.pcieD2H();
     return channel.reserve(ready, dur).end;
-}
-
-Time
-CpuDaemon::chargeVictimH2d(gpu::GpuDevice &dev, uint64_t bytes, Time ready)
-{
-    // Victim-tier hit: host RAM -> GPU. No directToGpu() shortcut —
-    // gds DMAs STORAGE reads straight to the device, but these bytes
-    // sit in the pinned host pool and cross PCIe with any backend.
-    auto &sim = dev.simContext();
-    const auto &p = sim.params;
-    bytesToGpu.inc(bytes);
-    if (bytes == 0 || !p.chargeDma)
-        return ready;
-    Time dur = p.dmaSetup + transferTime(bytes, p.pcieBwH2DMBps);
-    sim::Resource &channel =
-        p.serializeDmaWithIo ? sim.cpuIo : dev.pcieH2D();
-    return channel.reserve(ready, dur).end;
-}
-
-bool
-CpuDaemon::victimCoversReq(const RpcRequest &req)
-{
-    if (!victim_ || req.pageLen == 0 || req.pageCount == 0 ||
-        req.offset % req.pageLen != 0) {
-        return false;
-    }
-    hostfs::FileInfo info;
-    if (!ok(fs.fstat(req.hostFd, &info)))
-        return false;
-    uint64_t expect[kMaxBatchPages];
-    for (unsigned i = 0; i < req.pageCount; ++i) {
-        uint64_t off = req.offset + uint64_t(i) * req.pageLen;
-        expect[i] = off < info.size
-            ? std::min<uint64_t>(req.pageLen, info.size - off) : 0;
-    }
-    return victim_->coversRun(info.ino, req.offset / req.pageLen,
-                              req.pageCount, info.version, expect);
-}
-
-void
-CpuDaemon::victimInvalidate(int host_fd, const hostfs::WriteRun *runs,
-                            unsigned n)
-{
-    if (!victim_ || n == 0)
-        return;
-    hostfs::FileInfo info;
-    if (!ok(fs.fstat(host_fd, &info)))
-        return;
-    for (unsigned i = 0; i < n; ++i)
-        victim_->invalidateRange(info.ino, runs[i].offset, runs[i].len);
-}
-
-RpcResponse
-CpuDaemon::handleReadPage(gpu::GpuDevice &dev, const RpcRequest &req)
-{
-    RpcResponse resp;
-
-    // Victim-tier probe before the storage backend: a demotion-staged
-    // page at the host's current version is served from host RAM with
-    // one H2D DMA — no host read call at all. Probing only aligned
-    // whole-page reads inside the file keeps the gate simple; anything
-    // else takes the normal path.
-    if (victim_ && req.len > 0 && req.offset % req.len == 0) {
-        hostfs::FileInfo info;
-        if (ok(fs.fstat(req.hostFd, &info)) && req.offset < info.size) {
-            uint64_t expect =
-                std::min<uint64_t>(req.len, info.size - req.offset);
-            Time vready = req.issueTime;
-            if (victim_->probe(info.ino, req.offset / req.len,
-                               info.version, req.data, expect,
-                               &vready)) {
-                resp.status = Status::Ok;
-                resp.bytes = expect;
-                resp.done = chargeVictimH2d(dev, expect, vready);
-                return resp;
-            }
-        }
-    }
-
-    // Host file -> staging: the daemon's pread, serialized on cpuIo.
-    hostfs::IoResult r = retryTransient(
-        fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-            return backend_->read(req.hostFd, req.data, req.len, req.offset,
-                                  req.issueTime + backoff, dev.id());
-        });
-    hostReadCalls.inc();
-    resp.status = r.status;
-    resp.bytes = r.bytes;
-    resp.done = chargeH2dDma(dev, r.bytes, r.done);
-    return resp;
-}
-
-RpcResponse
-CpuDaemon::handleReadPages(gpu::GpuDevice &dev, const RpcRequest &req)
-{
-    RpcResponse resp;
-    if (req.pageCount == 0 || req.pageCount > kMaxBatchPages) {
-        resp.status = Status::Inval;
-        resp.done = req.issueTime;
-        return resp;
-    }
-
-    // Victim-tier probe: serve whatever pages the tier holds at the
-    // host's current version from host RAM, and read only the
-    // remaining contiguous miss-runs from storage. Zero hits falls
-    // through to the legacy single-vectored-read path unchanged.
-    if (victim_ && req.pageLen > 0 && req.offset % req.pageLen == 0) {
-        hostfs::FileInfo info;
-        if (ok(fs.fstat(req.hostFd, &info))) {
-            const uint64_t plen = req.pageLen;
-            const uint64_t first = req.offset / plen;
-            bool hit[kMaxBatchPages] = {};
-            uint64_t expect[kMaxBatchPages];
-            uint64_t hit_bytes = 0;
-            Time vready = req.issueTime;
-            unsigned hits = 0;
-            for (unsigned i = 0; i < req.pageCount; ++i) {
-                uint64_t off = req.offset + uint64_t(i) * plen;
-                expect[i] = off < info.size
-                    ? std::min<uint64_t>(plen, info.size - off) : 0;
-                if (expect[i] == 0)
-                    continue;
-                if (victim_->probe(info.ino, first + i, info.version,
-                                   req.batch[i], expect[i], &vready)) {
-                    hit[i] = true;
-                    hit_bytes += expect[i];
-                    ++hits;
-                }
-            }
-            if (hits > 0) {
-                if (req.speculative)
-                    raPagesFetched.inc(req.pageCount);
-                Time done = req.issueTime;
-                uint64_t total = hit_bytes;
-                unsigned i = 0;
-                while (i < req.pageCount) {
-                    if (hit[i] || expect[i] == 0) {
-                        ++i;
-                        continue;
-                    }
-                    unsigned run = i;
-                    while (run < req.pageCount && !hit[run] &&
-                           expect[run] != 0) {
-                        ++run;
-                    }
-                    hostfs::IoResult r = retryTransient(
-                        fs, ioRetries, ioRetryGiveups,
-                        [&](Time backoff) {
-                            return backend_->readPages(
-                                req.hostFd, &req.batch[i], run - i, plen,
-                                req.offset + uint64_t(i) * plen,
-                                req.issueTime + backoff, dev.id());
-                        });
-                    hostReadCalls.inc();
-                    if (!ok(r.status)) {
-                        resp.status = r.status;
-                        resp.done = done;
-                        return resp;
-                    }
-                    total += r.bytes;
-                    done = std::max(done,
-                                    chargeH2dDma(dev, r.bytes, r.done));
-                    i = run;
-                }
-                done = std::max(done,
-                                chargeVictimH2d(dev, hit_bytes, vready));
-                resp.status = Status::Ok;
-                resp.bytes = total;
-                resp.done = done;
-                return resp;
-            }
-        }
-    }
-
-    // Host file -> staging: ONE vectored pread for the whole extent,
-    // serialized on cpuIo — the per-request CPU overhead was already
-    // charged once per batch by handle(), which is the point of
-    // batching (amortizing GPU->CPU request costs). The batch then
-    // rides ONE DMA reservation (a single setup cost).
-    if (req.speculative)
-        raPagesFetched.inc(req.pageCount);
-    hostfs::IoResult r = retryTransient(
-        fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-            return backend_->readPages(req.hostFd, req.batch, req.pageCount,
-                                       req.pageLen, req.offset,
-                                       req.issueTime + backoff, dev.id());
-        });
-    hostReadCalls.inc();
-    resp.status = r.status;
-    resp.bytes = r.bytes;
-    resp.done = chargeH2dDma(dev, r.bytes, r.done);
-    return resp;
 }
 
 PeerPageSource *
@@ -1084,214 +838,259 @@ CpuDaemon::chargeP2pDma(gpu::GpuDevice &dev, unsigned src, unsigned dst,
     return sim.p2p(src, dst).reserve(ready, dur).end;
 }
 
-RpcResponse
-CpuDaemon::handlePeerReadPages(gpu::GpuDevice &dev, const RpcRequest &req)
+Status
+CpuDaemon::servePages(gpu::GpuDevice &dev, const RpcRequest *const *reqs,
+                      unsigned k, Time t0, RpcResponse *resps)
 {
-    RpcResponse resp;
-    if (req.pageCount == 0 || req.pageCount > kMaxBatchPages ||
-        req.pageLen == 0) {
-        resp.status = Status::Inval;
-        resp.done = req.issueTime;
-        return resp;
-    }
-    peerReadRpcs.inc();
-    if (req.speculative)
-        raPagesFetched.inc(req.pageCount);
-    PeerPageSource *src = peerSourceOf(req);
-    const uint64_t plen = req.pageLen;
-    const Time t0 = req.issueTime;
+    // Each request as pages (ReadPage is the one-page case), with the
+    // per-page serve state the sources below fill in.
+    struct Pages {
+        uint8_t *const *dst = nullptr;
+        unsigned n = 0;
+        uint64_t plen = 0;
+        PeerPageSource *owner = nullptr;
+        unsigned forwarded = 0;
+        bool fromVictim = false;
+        bool fromStorage = false;
+        bool served[kMaxBatchPages] = {};
+        uint32_t valid[kMaxBatchPages] = {};
+    };
+    std::vector<Pages> pages(k);
 
-    // First pass: serve what the owner holds. The copy itself is
-    // functional (the provider pins the owner frame for its duration);
-    // the virtual cost is one P2P DMA reservation covering the served
-    // bytes, ready no earlier than the latest source frame's own
-    // DMA-completion time.
-    bool served[kMaxBatchPages] = {};
-    uint32_t valid[kMaxBatchPages] = {};
-    uint64_t p2p_bytes = 0;
-    Time p2p_ready = t0;
-    unsigned forwarded = 0;
-    for (unsigned i = 0; i < req.pageCount; ++i) {
-        uint64_t idx = req.offset / plen + i;
-        if (src && src->peerCopyPage(req.ino, idx, req.version,
-                                     req.batch[i], &valid[i],
-                                     &p2p_ready)) {
-            served[i] = true;
-            p2p_bytes += plen;
-            ++forwarded;
+    // Source 1, PeerReadPages only: the owner GPU's resident frames.
+    // The copy itself is functional (the provider pins the owner frame
+    // for its duration); the virtual cost is one P2P DMA covering the
+    // served pages, ready no earlier than the latest source frame's
+    // own DMA-completion time.
+    for (unsigned m = 0; m < k; ++m) {
+        const RpcRequest &req = *reqs[m];
+        Pages &pg = pages[m];
+        resps[m] = RpcResponse{};
+        resps[m].done = t0;
+        const bool one = req.op == RpcOp::ReadPage;
+        const bool peer = req.op == RpcOp::PeerReadPages;
+        pg.dst = one ? &req.data : req.batch;
+        pg.n = one ? 1 : req.pageCount;
+        pg.plen = one ? req.len : req.pageLen;
+        if (pg.n == 0 || pg.n > kMaxBatchPages || (peer && pg.plen == 0)) {
+            resps[m].status = Status::Inval;
+            pg.n = 0;   // no source serves a malformed request
+            continue;
+        }
+        if (req.speculative)
+            raPagesFetched.inc(pg.n);
+        if (!peer)
+            continue;
+        peerReadRpcs.inc();
+        pg.owner = peerSourceOf(req);
+        uint64_t p2p_bytes = 0;
+        Time p2p_ready = t0;
+        for (unsigned i = 0; pg.owner && i < pg.n; ++i) {
+            if (pg.owner->peerCopyPage(req.ino, req.offset / pg.plen + i,
+                                       req.version, pg.dst[i],
+                                       &pg.valid[i], &p2p_ready)) {
+                pg.served[i] = true;
+                p2p_bytes += pg.plen;
+                ++pg.forwarded;
+            }
+        }
+        if (p2p_bytes > 0) {
+            resps[m].done = chargeP2pDma(dev, req.peerGpu, req.gpuId,
+                                         p2p_bytes, p2p_ready);
         }
     }
 
-    // Victim-tier pass: pages the owner declined may still sit staged
-    // in host RAM from an earlier demotion — serve those with one H2D
-    // charge instead of joining the storage fallback below. Gated on
-    // the host's CURRENT version like every probe.
+    // Source 2: the victim tier. A demotion-staged page at the host's
+    // CURRENT version (one fstat — the k requests read one host file)
+    // is served from host RAM; stale entries drop inside probe. Only
+    // page-aligned requests probe, and only pages inside the file.
     uint64_t vc_bytes = 0;
     Time vc_ready = t0;
-    if (victim_ && req.offset % plen == 0) {
-        hostfs::FileInfo vinfo;
-        if (ok(fs.fstat(req.hostFd, &vinfo))) {
-            for (unsigned j = 0; j < req.pageCount; ++j) {
-                if (served[j])
+    hostfs::FileInfo info;
+    if (victim_ && ok(fs.fstat(reqs[0]->hostFd, &info))) {
+        for (unsigned m = 0; m < k; ++m) {
+            const RpcRequest &req = *reqs[m];
+            Pages &pg = pages[m];
+            if (pg.plen == 0 || req.offset % pg.plen != 0)
+                continue;
+            for (unsigned i = 0; i < pg.n; ++i) {
+                uint64_t off = req.offset + uint64_t(i) * pg.plen;
+                if (pg.served[i] || off >= info.size)
                     continue;
-                uint64_t off = req.offset + uint64_t(j) * plen;
-                if (off >= vinfo.size)
-                    continue;
-                uint64_t expect =
-                    std::min<uint64_t>(plen, vinfo.size - off);
-                if (victim_->probe(vinfo.ino, off / plen, vinfo.version,
-                                   req.batch[j], expect, &vc_ready)) {
-                    served[j] = true;
-                    valid[j] = static_cast<uint32_t>(expect);
+                uint64_t expect = std::min(pg.plen, info.size - off);
+                if (victim_->probe(info.ino, off / pg.plen, info.version,
+                                   pg.dst[i], expect, &vc_ready)) {
+                    pg.served[i] = true;
+                    pg.valid[i] = static_cast<uint32_t>(expect);
+                    pg.fromVictim = true;
                     vc_bytes += expect;
                 }
             }
         }
     }
 
-    // Second pass: host fallback for the runs the owner could not
-    // serve — each contiguous run is one vectored pread on the
-    // daemon's serialized I/O path, exactly the ReadPages charge.
-    Time host_done = t0;
-    uint64_t host_bytes = 0;
-    unsigned i = 0;
-    while (i < req.pageCount) {
-        if (served[i]) {
-            ++i;
-            continue;
+    // Source 3: storage. Every page still unserved goes out in ONE
+    // gathered backend read — one run per contiguous gap of each
+    // request (runs never fuse across requests: each seeks on its
+    // own) — serialized on cpuIo. The per-request CPU overhead was
+    // charged once by the caller, which is the point of batching.
+    std::vector<hostfs::ReadRun> runs;
+    std::vector<std::pair<unsigned, unsigned>> runAt;   // (request, page)
+    for (unsigned m = 0; m < k; ++m) {
+        const RpcRequest &req = *reqs[m];
+        Pages &pg = pages[m];
+        for (unsigned i = 0; i < pg.n;) {
+            if (pg.served[i]) {
+                ++i;
+                continue;
+            }
+            unsigned j = i;
+            while (j < pg.n && !pg.served[j])
+                ++j;
+            runs.push_back({req.offset + uint64_t(i) * pg.plen, &pg.dst[i],
+                            j - i, pg.plen});
+            runAt.push_back({m, i});
+            pg.fromStorage = true;
+            i = j;
         }
-        unsigned run = i;
-        while (run < req.pageCount && !served[run])
-            ++run;
-        hostfs::IoResult r = retryTransient(
-            fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-                return backend_->readPages(
-                    req.hostFd, &req.batch[i], run - i, plen,
-                    req.offset + uint64_t(i) * plen, t0 + backoff,
-                    dev.id());
-            });
+    }
+    Time storage_done = t0;
+    if (!runs.empty()) {
+        const auto nruns = static_cast<unsigned>(runs.size());
+        hostfs::IoResult r = retryIo([&](Time backoff) {
+            return backend_->readRuns(reqs[0]->hostFd, runs.data(), nruns,
+                                      t0 + backoff, dev.id());
+        });
+        hostReadCalls.inc();
         if (!ok(r.status)) {
-            resp.status = r.status;
-            resp.done = host_done;
-            return resp;
+            // A malformed request never reaches here: only a lone
+            // request can be one, and it has no runs.
+            for (unsigned m = 0; m < k; ++m) {
+                resps[m].status = r.status;
+                resps[m].done = std::max(resps[m].done, r.done);
+            }
+            return r.status;
         }
-        for (unsigned j = i; j < run; ++j) {
-            uint64_t base = uint64_t(j - i) * plen;
-            valid[j] = static_cast<uint32_t>(
-                r.bytes > base ? std::min<uint64_t>(plen, r.bytes - base)
-                               : 0);
-        }
-        // Owner warming: the fallback read these bytes BECAUSE the
-        // owner was cold — adopt them into the owner's cache in the
-        // same RPC (best effort: try-locks, free frames above the
-        // claim reserve, the faulting tenant under its quota), so a
-        // repeat miss on the page forwards peer-to-peer instead of
-        // paying the storage round trip again.
-        if (src) {
-            for (unsigned j = i; j < run; ++j) {
-                if (valid[j] == 0)
-                    continue;
-                if (src->peerAdoptPage(req.ino, req.offset / plen + j,
-                                       req.version, req.batch[j],
-                                       valid[j], r.done, req.tenant)) {
+        for (unsigned x = 0; x < nruns; ++x) {
+            const RpcRequest &req = *reqs[runAt[x].first];
+            Pages &pg = pages[runAt[x].first];
+            for (unsigned i = 0; i < runs[x].nPages; ++i) {
+                const unsigned page = runAt[x].second + i;
+                uint64_t base = uint64_t(i) * pg.plen;
+                pg.valid[page] = static_cast<uint32_t>(
+                    runs[x].bytes > base
+                        ? std::min(pg.plen, runs[x].bytes - base) : 0);
+                // Owner warming: the fallback read these bytes BECAUSE
+                // the owner was cold — adopt them into the owner's
+                // cache in the same RPC (best effort: try-locks, free
+                // frames above the claim reserve, the faulting tenant
+                // under its quota), so a repeat miss on the page
+                // forwards peer-to-peer instead of paying the storage
+                // round trip again.
+                if (pg.owner && pg.valid[page] > 0 &&
+                    pg.owner->peerAdoptPage(
+                        req.ino, req.offset / pg.plen + page, req.version,
+                        pg.dst[page], pg.valid[page], r.done, req.tenant)) {
                     peerPagesAdopted.inc();
                 }
             }
         }
-        host_bytes += r.bytes;
-        host_done = std::max(host_done, r.done);
-        i = run;
+        storage_done = chargePcie(dev, PcieHop::StorageToGpu, r.bytes,
+                                  r.done);
     }
-    peerPagesForwarded.inc(forwarded);
-    peerPagesHost.inc(req.pageCount - forwarded);
+    const Time vc_done = vc_bytes > 0
+        ? chargePcie(dev, PcieHop::VictimToGpu, vc_bytes, vc_ready) : t0;
 
-    Time done = t0;
-    if (host_bytes > 0)
-        done = std::max(done, chargeH2dDma(dev, host_bytes, host_done));
-    if (vc_bytes > 0)
-        done = std::max(done, chargeVictimH2d(dev, vc_bytes, vc_ready));
-    if (p2p_bytes > 0) {
-        done = std::max(done, chargeP2pDma(dev, req.peerGpu, req.gpuId,
-                                           p2p_bytes, p2p_ready));
+    // Each request completes when the sources that served ITS pages
+    // have: a group member the victim tier covered does not wait for
+    // the group's storage read. Valid bytes are contiguous from the
+    // batch start (short pages only at EOF), so one total preserves
+    // the ReadPages response contract.
+    for (unsigned m = 0; m < k; ++m) {
+        const Pages &pg = pages[m];
+        RpcResponse &resp = resps[m];
+        if (pg.fromStorage)
+            resp.done = std::max(resp.done, storage_done);
+        if (pg.fromVictim)
+            resp.done = std::max(resp.done, vc_done);
+        for (unsigned i = 0; i < pg.n; ++i)
+            resp.bytes += pg.valid[i];
+        resp.peerPages = pg.forwarded;
+        if (reqs[m]->op == RpcOp::PeerReadPages) {
+            peerPagesForwarded.inc(pg.forwarded);
+            peerPagesHost.inc(pg.n - pg.forwarded);
+        }
     }
-
-    // Valid bytes are contiguous from the batch start (short pages
-    // only at EOF — the provider declines anything else), so a single
-    // total preserves the ReadPages response contract.
-    uint64_t total_valid = 0;
-    for (unsigned j = 0; j < req.pageCount; ++j)
-        total_valid += valid[j];
-    resp.status = Status::Ok;
-    resp.bytes = total_valid;
-    resp.peerPages = forwarded;
-    resp.done = done;
-    return resp;
+    return Status::Ok;
 }
 
 RpcResponse
-CpuDaemon::handlePeerWritePages(gpu::GpuDevice &dev, const RpcRequest &req)
+CpuDaemon::applyWrites(gpu::GpuDevice &dev, const RpcRequest &req, Time t0)
 {
-    auto &sim = dev.simContext();
     RpcResponse resp;
-    if (req.pageCount == 0 || req.pageCount > kMaxBatchPages ||
-        req.pageLen == 0) {
+    resp.done = t0;
+    if (!wellFormedWrite(req)) {
         resp.status = Status::Inval;
-        resp.done = req.issueTime;
         return resp;
     }
-    peerWriteRpcs.inc();
-    PeerPageSource *src = peerSourceOf(req);
-    const uint64_t plen = req.pageLen;
+    const bool peer = req.op == RpcOp::PeerWritePages;
+    if (peer)
+        peerWriteRpcs.inc();
 
-    // Host write-through FIRST: the whole batch rides ONE D2H DMA and
-    // lands as ONE gathered pwritev — identical durability and version
-    // semantics to plain WritePages (the PR-2 machinery above this op
-    // is untouched). Mirroring happens only after the bytes are
-    // durable: a failed host write must not leave the owner's cache
-    // holding never-durable bytes at a still-matching version.
-    uint64_t total = 0;
-    for (unsigned i = 0; i < req.pageCount; ++i)
-        total += req.batchLen[i];
-    Time t = chargeD2hDma(dev, total, req.issueTime);
-
-    std::vector<hostfs::WriteRun> runs;
-    runs.reserve(req.pageCount);
-    for (unsigned i = 0; i < req.pageCount; ++i) {
-        if (req.batchLen[i] == 0)
-            continue;
-        runs.push_back({req.batchOff[i], req.batchLen[i], req.batch[i]});
+    // GPU pages -> staging: the whole request rides ONE D2H DMA
+    // reservation (a single setup cost) — the per-request CPU overhead
+    // was already charged once by the caller.
+    uint64_t total = req.len;
+    if (req.op != RpcOp::WriteBack) {
+        total = 0;
+        for (unsigned i = 0; i < req.pageCount; ++i)
+            total += req.batchLen[i];
     }
-    resp.status = Status::Ok;
+    Time t = chargePcie(dev, PcieHop::GpuToStorage, total, t0);
     resp.done = t;
-    uint64_t new_version = 0;
-    if (!runs.empty()) {
+
+    // Runs -> journal commit (durable files) -> ONE gathered pwritev:
+    // one syscall charge on the serialized I/O path and one version
+    // bump, never per-run overhead or per-run version churn. A peer
+    // write lands on the host FIRST: a failed host write must not
+    // leave the owner's cache holding never-durable bytes at a
+    // still-matching version.
+    std::vector<hostfs::WriteRun> runs = writeRunsOf(req);
+    const auto nruns = static_cast<unsigned>(runs.size());
+    if (nruns > 0) {
         bool journaled = false;
-        Status js = maybeJournal(req.hostFd, runs.data(),
-                                 static_cast<unsigned>(runs.size()), t,
-                                 &sim.cpuIo, &journaled);
+        Status js = maybeJournal(req.hostFd, runs.data(), nruns, t,
+                                 &dev.simContext().cpuIo, journaled);
+        resp.done = t;
         if (!ok(js)) {
             resp.status = js;
-            resp.done = t;
             return resp;
         }
-        hostfs::IoResult w = retryTransient(
-            fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-                return backend_->writev(req.hostFd, runs.data(),
-                                        static_cast<unsigned>(runs.size()),
-                                        t + backoff, dev.id());
-            });
+        hostfs::IoResult w = retryIo([&](Time backoff) {
+            return backend_->writev(req.hostFd, runs.data(), nruns,
+                                    t + backoff, dev.id());
+        });
         if (!ok(w.status)) {
             resp.status = w.status;
             return resp;
         }
         journalApplied(journaled);
-        victimInvalidate(req.hostFd, runs.data(),
-                         static_cast<unsigned>(runs.size()));
+        // Victim hygiene: drop the entries the runs overwrote (the
+        // version gate is the correctness backstop; this frees the
+        // slots early).
+        hostfs::FileInfo info;
+        if (victim_ && ok(fs.fstat(req.hostFd, &info))) {
+            for (const hostfs::WriteRun &run : runs)
+                victim_->invalidateRange(info.ino, run.offset, run.len);
+        }
         resp.bytes = w.bytes;
+        // The post-write version lets the writing GPU keep its cached
+        // version current (its own writes are not "remote" changes).
         resp.version = w.version;
         resp.done = w.done;
-        new_version = w.version;
     }
+    if (!peer)
+        return resp;
 
     // Mirror the now-durable extents into the owner's resident pages
     // (the requester's takeDirtyBatch holds the source fpage locks, so
@@ -1299,6 +1098,7 @@ CpuDaemon::handlePeerWritePages(gpu::GpuDevice &dev, const RpcRequest &req)
     // post-write host content, and later peer reads keep serving
     // current data instead of failing their version gate. The mirror
     // bytes ride the pair's P2P channel.
+    PeerPageSource *src = peerSourceOf(req);
     unsigned mirrored = 0;
     unsigned nonzero = 0;
     uint64_t p2p_bytes = 0;
@@ -1306,8 +1106,9 @@ CpuDaemon::handlePeerWritePages(gpu::GpuDevice &dev, const RpcRequest &req)
         if (req.batchLen[i] == 0)
             continue;
         ++nonzero;
-        uint64_t idx = req.batchOff[i] / plen;
-        uint32_t in_page = static_cast<uint32_t>(req.batchOff[i] % plen);
+        uint64_t idx = req.batchOff[i] / req.pageLen;
+        uint32_t in_page =
+            static_cast<uint32_t>(req.batchOff[i] % req.pageLen);
         if (src && src->peerMirrorExtent(req.ino, idx, req.version,
                                          in_page, req.batch[i],
                                          req.batchLen[i])) {
@@ -1318,7 +1119,7 @@ CpuDaemon::handlePeerWritePages(gpu::GpuDevice &dev, const RpcRequest &req)
     if (p2p_bytes > 0) {
         resp.done = std::max(resp.done,
                              chargeP2pDma(dev, req.gpuId, req.peerGpu,
-                                          p2p_bytes, req.issueTime));
+                                          p2p_bytes, t0));
     }
     // A fully-mirrored batch leaves the owner's cache equal to the
     // post-write host content, so the owner's version advances with
@@ -1327,205 +1128,12 @@ CpuDaemon::handlePeerWritePages(gpu::GpuDevice &dev, const RpcRequest &req)
     // when sibling partitions changed other pages of the same file in
     // the same flush, the owner may cache those pages too and a
     // publish would wrongly validate them.
-    if (src && req.peerPublish && new_version != 0 &&
+    if (src && req.peerPublish && resp.version != 0 &&
         mirrored == nonzero && nonzero > 0) {
-        src->peerPublishVersion(req.ino, req.version, new_version);
+        src->peerPublishVersion(req.ino, req.version, resp.version);
     }
     peerExtentsMirrored.inc(mirrored);
-    bytesFromGpu.inc(total);
     resp.peerPages = mirrored;
-    return resp;
-}
-
-Time
-CpuDaemon::chargeD2hDma(gpu::GpuDevice &dev, uint64_t bytes, Time ready)
-{
-    auto &sim = dev.simContext();
-    const auto &p = sim.params;
-    if (bytes == 0 || !p.chargeDma || backend_->directToGpu())
-        return ready;
-    Time dur = p.dmaSetup + transferTime(bytes, p.pcieBwD2HMBps);
-    sim::Resource &channel =
-        p.serializeDmaWithIo ? sim.cpuIo : dev.pcieD2H();
-    return channel.reserve(ready, dur).end;
-}
-
-namespace {
-
-/**
- * O_GWRONCE: the pristine copy is implicitly all zeros, so the
- * locally-modified bytes are exactly the non-zero ones. Append maximal
- * non-zero runs of [data, data+len) (landing at file offset @p off) so
- * concurrent writers to other regions of the same page are not
- * reverted (§3.1).
- */
-void
-appendZeroDiffRuns(std::vector<hostfs::WriteRun> &runs, uint64_t off,
-                   const uint8_t *data, uint64_t len)
-{
-    uint64_t i = 0;
-    while (i < len) {
-        while (i < len && data[i] == 0)
-            ++i;
-        uint64_t run = i;
-        while (run < len && data[run] != 0)
-            ++run;
-        if (run > i)
-            runs.push_back({off + i, run - i, data + i});
-        i = run;
-    }
-}
-
-} // namespace
-
-RpcResponse
-CpuDaemon::handleWriteBack(gpu::GpuDevice &dev, const RpcRequest &req)
-{
-    auto &sim = dev.simContext();
-    RpcResponse resp;
-
-    // GPU page -> staging: DMA on the D2H channel.
-    Time t = chargeD2hDma(dev, req.len, req.issueTime);
-
-    uint64_t written = 0;
-    uint64_t version = 0;
-    if (req.diffAgainstZeros) {
-        // The non-zero runs land as ONE gathered pwritev: a single
-        // syscall charge on the daemon's I/O path and a single version
-        // bump — never per-run overhead or per-run version churn.
-        std::vector<hostfs::WriteRun> runs;
-        appendZeroDiffRuns(runs, req.offset, req.data, req.len);
-        if (!runs.empty()) {
-            bool journaled = false;
-            Status js = maybeJournal(req.hostFd, runs.data(),
-                                     static_cast<unsigned>(runs.size()), t,
-                                     &sim.cpuIo, &journaled);
-            if (!ok(js)) {
-                resp.status = js;
-                resp.done = t;
-                return resp;
-            }
-            hostfs::IoResult w = retryTransient(
-                fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-                    return backend_->writev(
-                        req.hostFd, runs.data(),
-                        static_cast<unsigned>(runs.size()), t + backoff,
-                        dev.id());
-                });
-            if (!ok(w.status)) {
-                resp.status = w.status;
-                resp.done = t;
-                return resp;
-            }
-            journalApplied(journaled);
-            victimInvalidate(req.hostFd, runs.data(),
-                             static_cast<unsigned>(runs.size()));
-            written = w.bytes;
-            version = w.version;
-            t = w.done;
-        }
-    } else {
-        hostfs::WriteRun run{req.offset, req.len, req.data};
-        bool journaled = false;
-        Status js = maybeJournal(req.hostFd, &run, 1, t, &sim.cpuIo,
-                                 &journaled);
-        if (!ok(js)) {
-            resp.status = js;
-            resp.done = t;
-            return resp;
-        }
-        hostfs::IoResult w = retryTransient(
-            fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-                return backend_->write(req.hostFd, req.data, req.len,
-                                       req.offset, t + backoff, dev.id());
-            });
-        if (!ok(w.status)) {
-            resp.status = w.status;
-            resp.done = w.done;
-            return resp;
-        }
-        journalApplied(journaled);
-        victimInvalidate(req.hostFd, &run, 1);
-        written = w.bytes;
-        version = w.version;
-        t = w.done;
-    }
-    bytesFromGpu.inc(req.len);
-    resp.status = Status::Ok;
-    resp.bytes = written;
-    resp.done = t;
-    // Report the post-write version so the writing GPU can keep its
-    // cached version current (its own writes are not "remote" changes).
-    resp.version = version;
-    return resp;
-}
-
-RpcResponse
-CpuDaemon::handleWritePages(gpu::GpuDevice &dev, const RpcRequest &req)
-{
-    auto &sim = dev.simContext();
-    RpcResponse resp;
-    if (req.pageCount == 0 || req.pageCount > kMaxBatchPages) {
-        resp.status = Status::Inval;
-        resp.done = req.issueTime;
-        return resp;
-    }
-
-    // GPU pages -> staging: the whole batch rides ONE D2H DMA
-    // reservation (a single setup cost) — the per-request CPU overhead
-    // was already charged once per batch by handle(), which is the
-    // point of batching (amortizing GPU->CPU request costs).
-    uint64_t total = 0;
-    for (unsigned i = 0; i < req.pageCount; ++i)
-        total += req.batchLen[i];
-    Time t = chargeD2hDma(dev, total, req.issueTime);
-
-    // Every extent lands through ONE gathered pwritev: one syscall
-    // charge on the daemon's serialized I/O path, one version bump —
-    // the write twin of ReadPages' single vectored preadPages.
-    std::vector<hostfs::WriteRun> runs;
-    runs.reserve(req.pageCount);
-    for (unsigned i = 0; i < req.pageCount; ++i) {
-        if (req.batchLen[i] == 0)
-            continue;
-        if (req.diffAgainstZeros) {
-            appendZeroDiffRuns(runs, req.batchOff[i], req.batch[i],
-                               req.batchLen[i]);
-        } else {
-            runs.push_back({req.batchOff[i], req.batchLen[i],
-                            req.batch[i]});
-        }
-    }
-    resp.status = Status::Ok;
-    resp.done = t;
-    if (!runs.empty()) {
-        bool journaled = false;
-        Status js = maybeJournal(req.hostFd, runs.data(),
-                                 static_cast<unsigned>(runs.size()), t,
-                                 &sim.cpuIo, &journaled);
-        if (!ok(js)) {
-            resp.status = js;
-            resp.done = t;
-            return resp;
-        }
-        hostfs::IoResult w = retryTransient(
-            fs, ioRetries, ioRetryGiveups, [&](Time backoff) {
-                return backend_->writev(req.hostFd, runs.data(),
-                                        static_cast<unsigned>(runs.size()),
-                                        t + backoff, dev.id());
-            });
-        if (!ok(w.status)) {
-            resp.status = w.status;
-            return resp;
-        }
-        journalApplied(journaled);
-        victimInvalidate(req.hostFd, runs.data(),
-                         static_cast<unsigned>(runs.size()));
-        resp.bytes = w.bytes;
-        resp.version = w.version;
-        resp.done = w.done;
-    }
-    bytesFromGpu.inc(total);
     return resp;
 }
 

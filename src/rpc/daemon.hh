@@ -86,14 +86,14 @@ class CpuDaemon
 
     /**
      * Install (or clear, with nullptr) the machine-wide host-RAM
-     * victim tier. Must be called before start(). Miss reads
-     * (ReadPage, ReadPages, the aggregation sweep, the peer-read host
-     * fallback) then probe the tier before the storage backend, gated
-     * on the host's CURRENT file version from fstat — write-through
-     * mirrors and journal replay bump the version, so stale bytes are
-     * dropped, never served. A victim hit is a plain H2D DMA charge
-     * even under a direct-to-GPU backend: the bytes sit in host RAM,
-     * not on the device.
+     * victim tier. Must be called before start(). servePages then
+     * tries the tier before the storage backend for every page a read
+     * request (or sweep group) still needs, gated on the host's
+     * CURRENT file version from fstat — write-through mirrors and
+     * journal replay bump the version, so stale bytes are dropped,
+     * never served. A victim hit is a plain H2D DMA charge even under
+     * a direct-to-GPU backend: the bytes sit in host RAM, not on the
+     * device.
      */
     void setVictimCache(core::VictimCache *v);
 
@@ -188,9 +188,10 @@ class CpuDaemon
     Counter &raPagesFetched;
     /** Cross-slot aggregation: ReadPages requests that rode a
      *  same-sweep same-file group instead of their own host read
-     *  (k-grouped sweeps add k-1), and the host read calls actually
-     *  issued for ReadPage/ReadPages service — aggregation shows as
-     *  host_read_calls falling below the served request count. */
+     *  (k-grouped sweeps add k-1), and the storage reads servePages
+     *  actually issued (at most one per call, peer fallbacks included)
+     *  — aggregation shows as host_read_calls falling below the served
+     *  request count. */
     Counter &coalescedRpcs;
     Counter &hostReadCalls;
     /** Transient host-I/O faults absorbed by bounded retry+backoff,
@@ -228,7 +229,7 @@ class CpuDaemon
      *  replay exists for, and truncating it would lose the bytes. */
     std::atomic<uint64_t> journalUnapplied_{0};
 
-    /** Storage backend the read/write-back handlers route through
+    /** Storage backend servePages / applyWrites route through
      *  (BufferedBackend until setStorageBackend, never null). */
     std::unique_ptr<storage::StorageBackend> backend_;
 
@@ -246,52 +247,54 @@ class CpuDaemon
 
     /**
      * Service one pollAll sweep of @p port_idx in issue-time order,
-     * coalescing different slots' concurrent ReadPages on the same
-     * host file into one gathered host read (cross-block RPC
-     * aggregation); everything else routes through handle() exactly
-     * as before. Completes every slot and counts requestsServed.
+     * serving different slots' concurrent ReadPages on the same host
+     * file with one servePages call (cross-block RPC aggregation);
+     * everything else routes through handle(). Completes every slot
+     * and counts requestsServed.
      */
     void serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n);
 
     /**
-     * Service @p k same-file ReadPages slots from one sweep as a
-     * group: one CPU-overhead reservation, one gathered
-     * HostFs::preadRuns, one H2D DMA of the total bytes — completions
-     * fan back to each slot with its own byte count. Falls back to
-     * per-slot handle() when the gathered read fails.
+     * The one read-service path (ReadPage, ReadPages, PeerReadPages,
+     * and a sweep's same-file ReadPages group as k > 1). The @p k
+     * requests read one host file and share one CPU-overhead
+     * reservation ending at @p t0. Every page is resolved from an
+     * ordered source list — the owner GPU (PeerReadPages only), the
+     * victim tier (version-gated), then storage — where all
+     * storage-bound pages go out as ONE backend readRuns call and each
+     * source gets one DMA charge. Fills resps[0..k); each completes
+     * when the sources that served its pages have. @return the
+     * storage read's status (Ok when none was needed); on failure
+     * every well-formed request carries it.
      */
-    void handleReadPagesGroup(unsigned port_idx, RpcSlot **group,
-                              unsigned k);
+    Status servePages(gpu::GpuDevice &dev, const RpcRequest *const *reqs,
+                      unsigned k, Time t0, RpcResponse *resps);
 
-    /** Charge one H2D DMA for @p bytes ready at @p ready; counts the
-     *  bytes. Shared by the single-page and batched read paths so the
-     *  two charge identically. */
-    Time chargeH2dDma(gpu::GpuDevice &dev, uint64_t bytes, Time ready);
+    /**
+     * The one write-apply path (WriteBack, WritePages, PeerWritePages)
+     * after the CPU-overhead reservation ending at @p t0: one D2H DMA,
+     * then writeRunsOf -> maybeJournal -> ONE backend writev -> victim
+     * invalidation, then — PeerWritePages only — the owner mirror
+     * and version publish.
+     */
+    RpcResponse applyWrites(gpu::GpuDevice &dev, const RpcRequest &req,
+                            Time t0);
 
-    /** Charge the H2D DMA of a victim-tier hit. Unlike chargeH2dDma
-     *  this never takes the direct-to-GPU shortcut: a gds backend DMAs
-     *  storage reads straight to the device, but victim bytes live in
-     *  host RAM and must cross PCIe regardless of backend. */
-    Time chargeVictimH2d(gpu::GpuDevice &dev, uint64_t bytes, Time ready);
+    /** Which way a PCIe DMA crosses, and whether its host side is the
+     *  storage path (skipped under a direct-to-GPU backend, whose own
+     *  charge covers the wire) or the pinned victim tier (always
+     *  crosses). */
+    enum class PcieHop { StorageToGpu, VictimToGpu, GpuToStorage };
 
-    /** True when the victim tier would serve EVERY page of @p req (a
-     *  ReadPages request) at the host's current version — such
-     *  requests are excluded from sweep aggregation and served
-     *  individually so they skip the gathered storage read. */
-    bool victimCoversReq(const RpcRequest &req);
+    /** Charge one DMA of @p bytes ready at @p ready on the hop's PCIe
+     *  channel, and count the bytes (bytes_to_gpu / bytes_from_gpu). */
+    Time chargePcie(gpu::GpuDevice &dev, PcieHop hop, uint64_t bytes,
+                    Time ready);
 
-    /** Write-path hygiene: drop victim entries the runs overwrite (the
-     *  version gate is the correctness backstop; this frees the slots
-     *  early). */
-    void victimInvalidate(int host_fd, const hostfs::WriteRun *runs,
-                          unsigned n);
-
-    RpcResponse handleOpen(gpu::GpuDevice &dev, const RpcRequest &req);
-    RpcResponse handleClose(gpu::GpuDevice &dev, const RpcRequest &req);
-    RpcResponse handleReadPage(gpu::GpuDevice &dev, const RpcRequest &req);
-    RpcResponse handleReadPages(gpu::GpuDevice &dev, const RpcRequest &req);
-    RpcResponse handleWriteBack(gpu::GpuDevice &dev, const RpcRequest &req);
-    RpcResponse handleWritePages(gpu::GpuDevice &dev, const RpcRequest &req);
+    void handleOpen(gpu::GpuDevice &dev, const RpcRequest &req,
+                    RpcResponse &resp);
+    void handleClose(gpu::GpuDevice &dev, const RpcRequest &req,
+                     RpcResponse &resp);
 
     // ---- sharded multi-GPU peer forwarding ----
 
@@ -304,28 +307,23 @@ class CpuDaemon
     Time chargeP2pDma(gpu::GpuDevice &dev, unsigned src, unsigned dst,
                       uint64_t bytes, Time ready);
 
-    RpcResponse handlePeerReadPages(gpu::GpuDevice &dev,
-                                    const RpcRequest &req);
-    RpcResponse handlePeerWritePages(gpu::GpuDevice &dev,
-                                     const RpcRequest &req);
-
-    /** Charge one D2H DMA for @p bytes ready at @p ready. Shared by the
-     *  single-extent and batched write-back paths so the two charge
-     *  identically (one setup cost per request either way). */
-    Time chargeD2hDma(gpu::GpuDevice &dev, uint64_t bytes, Time ready);
-
     /** Track (fd -> ino, write, durable) for consistency release and
      *  the journal's per-file gate. */
     struct FdClaim { uint64_t ino; bool write; bool durable; };
     std::mutex claimMtx;
     std::unordered_map<int, FdClaim> fdClaims;
 
+    /** Run host I/O @p fn(backoff) with bounded retry of transient
+     *  faults (counted in io_retries / io_retry_giveups). */
+    template <typename Fn>
+    hostfs::IoResult retryIo(Fn &&fn);
+
     /** True when @p fd was opened O_GDURABLE_F; its ino out-param
      *  feeds the journal. */
     bool durableFd(int fd, uint64_t *ino_out = nullptr);
 
     /**
-     * Journal-first ordering for the write-back handlers: when the
+     * Journal-first ordering for applyWrites: when the
      * journal is on and @p fd is durable, ensure the txn's records are
      * commit-durable and advance @p t to the commit-durable time
      * before the caller's in-place write. Normally the sweep preflight
@@ -335,8 +333,7 @@ class CpuDaemon
      * @p fd is not durable.
      */
     Status maybeJournal(int fd, const hostfs::WriteRun *runs, unsigned n,
-                        Time &t, sim::Resource *io,
-                        bool *journaled = nullptr);
+                        Time &t, sim::Resource *io, bool &journaled);
 
     /**
      * Group commit: issue the ONE journal fsync covering every txn

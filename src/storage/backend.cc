@@ -89,46 +89,12 @@ class BufferedBackend : public StorageBackend
     BackendKind kind() const override { return BackendKind::Buffered; }
 
     hostfs::IoResult
-    read(int fd, uint8_t *dst, uint64_t len, uint64_t offset, Time ready,
-         unsigned) override
-    {
-        auto r = fs.pread(fd, dst, len, offset, ready,
-                          &fs.simContext().cpuIo);
-        if (ok(r.status))
-            countRead(r.bytes);
-        return r;
-    }
-
-    hostfs::IoResult
-    readPages(int fd, uint8_t *const *dsts, unsigned n_pages,
-              uint64_t page_len, uint64_t offset, Time ready,
-              unsigned) override
-    {
-        auto r = fs.preadPages(fd, dsts, n_pages, page_len, offset, ready,
-                               &fs.simContext().cpuIo);
-        if (ok(r.status))
-            countRead(r.bytes);
-        return r;
-    }
-
-    hostfs::IoResult
     readRuns(int fd, hostfs::ReadRun *runs, unsigned n, Time ready,
              unsigned) override
     {
         auto r = fs.preadRuns(fd, runs, n, ready, &fs.simContext().cpuIo);
         if (ok(r.status))
             countRead(r.bytes);
-        return r;
-    }
-
-    hostfs::IoResult
-    write(int fd, const uint8_t *src, uint64_t len, uint64_t offset,
-          Time ready, unsigned) override
-    {
-        auto r = fs.pwrite(fd, src, len, offset, ready,
-                           &fs.simContext().cpuIo);
-        if (ok(r.status))
-            countWrite(r.bytes);
         return r;
     }
 

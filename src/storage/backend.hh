@@ -5,11 +5,12 @@
  *
  * The paper's host daemon knows exactly one miss shape — a buffered
  * pread through the OS page cache followed by a bounce-buffer H2D DMA
- * (§4.3). This interface makes that shape pluggable: the daemon calls
- * read/readPages/readRuns/write/writev/sync on the selected backend
- * instead of HostFs directly, and each backend pairs the (shared)
- * functional HostFs data movement with its own virtual-time charge
- * model:
+ * (§4.3). This interface makes that shape pluggable with three calls:
+ * readRuns (every storage-bound page of one page-service call, as one
+ * gathered read), writev (one write-back's runs, as one gathered
+ * write) and sync. A single extent is simply a one-run call. Each
+ * backend pairs the (shared) functional HostFs data movement with its
+ * own virtual-time charge model:
  *
  *  - BufferedBackend    host page cache + disk (byte-identical default)
  *  - DirectBackend      O_DIRECT: aligned extents, device-rate I/O,
@@ -22,8 +23,9 @@
  *                       link bandwidth, and a bounded queue depth
  *
  * Fault injection, crash points, EOF clamping and version bumps live
- * in HostFs (the *Uncached entry points), so every backend degrades
- * and recovers identically — tests/storage_test.cc sweeps the matrix.
+ * in HostFs (preadRuns/pwritev and their *Uncached twins), so every
+ * backend degrades and recovers identically — tests/storage_test.cc
+ * sweeps the matrix.
  */
 
 #ifndef GPUFS_STORAGE_BACKEND_HH
@@ -52,6 +54,13 @@ alignedSpan(uint64_t offset, uint64_t len, uint64_t align)
     return hi - lo;
 }
 
+/** Device bytes and seek count of a gathered I/O under sector
+ *  alignment (see StorageBackend::alignedExtents). */
+struct AlignedExtents {
+    uint64_t bytes = 0;
+    unsigned extents = 0;
+};
+
 class StorageBackend
 {
   public:
@@ -76,20 +85,10 @@ class StorageBackend
 
     /** @p gpu is the requesting GPU's id — backends with per-GPU
      *  timelines (GDS) reserve that GPU's engine; others ignore it.
-     *  All calls mirror the HostFs methods they replace. */
-    virtual hostfs::IoResult read(int fd, uint8_t *dst, uint64_t len,
-                                  uint64_t offset, Time ready,
-                                  unsigned gpu) = 0;
-    virtual hostfs::IoResult readPages(int fd, uint8_t *const *dsts,
-                                       unsigned n_pages, uint64_t page_len,
-                                       uint64_t offset, Time ready,
-                                       unsigned gpu) = 0;
+     *  readRuns/writev mirror HostFs::preadRuns/pwritev. */
     virtual hostfs::IoResult readRuns(int fd, hostfs::ReadRun *runs,
                                       unsigned n, Time ready,
                                       unsigned gpu) = 0;
-    virtual hostfs::IoResult write(int fd, const uint8_t *src, uint64_t len,
-                                   uint64_t offset, Time ready,
-                                   unsigned gpu) = 0;
     virtual hostfs::IoResult writev(int fd, const hostfs::WriteRun *runs,
                                     unsigned n, Time ready,
                                     unsigned gpu) = 0;
@@ -102,6 +101,23 @@ class StorageBackend
     void countRead(uint64_t bytes);
     void countWrite(uint64_t bytes);
     void countSync();
+
+    /** Sector-aligned device bytes (directAlignBytes) and extent count
+     *  over the non-empty runs; @p len names the run's byte count. */
+    template <typename Run>
+    AlignedExtents
+    alignedExtents(const Run *runs, unsigned n, uint64_t Run::*len) const
+    {
+        const uint64_t align = fs.simContext().params.directAlignBytes;
+        AlignedExtents a;
+        for (unsigned i = 0; i < n; ++i) {
+            if (runs[i].*len == 0)
+                continue;
+            a.bytes += alignedSpan(runs[i].offset, runs[i].*len, align);
+            ++a.extents;
+        }
+        return a;
+    }
 
   private:
     Counter &reads_;

@@ -32,32 +32,6 @@ class DirectBackend : public StorageBackend
     BackendKind kind() const override { return BackendKind::Direct; }
 
     hostfs::IoResult
-    read(int fd, uint8_t *dst, uint64_t len, uint64_t offset, Time ready,
-         unsigned) override
-    {
-        auto r = fs.preadUncached(fd, dst, len, offset, ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countRead(r.bytes);
-        r.done = chargeDevice(offset, r.bytes, 1, ready, /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
-    readPages(int fd, uint8_t *const *dsts, unsigned n_pages,
-              uint64_t page_len, uint64_t offset, Time ready,
-              unsigned) override
-    {
-        auto r = fs.preadPagesUncached(fd, dsts, n_pages, page_len, offset,
-                                       ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countRead(r.bytes);
-        r.done = chargeDevice(offset, r.bytes, 1, ready, /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
     readRuns(int fd, hostfs::ReadRun *runs, unsigned n, Time ready,
              unsigned) override
     {
@@ -68,29 +42,9 @@ class DirectBackend : public StorageBackend
         // One gathered submission, one device reservation covering
         // every run: each extent seeks (accessLat) then streams its
         // aligned bytes.
-        uint64_t aligned = 0;
-        unsigned extents = 0;
-        const uint64_t align = fs.simContext().params.directAlignBytes;
-        for (unsigned i = 0; i < n; ++i) {
-            if (runs[i].bytes == 0)
-                continue;
-            aligned += alignedSpan(runs[i].offset, runs[i].bytes, align);
-            ++extents;
-        }
-        r.done = chargeAligned(aligned, r.bytes, extents, ready,
-                               /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
-    write(int fd, const uint8_t *src, uint64_t len, uint64_t offset,
-          Time ready, unsigned) override
-    {
-        auto r = fs.pwriteUncached(fd, src, len, offset, ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countWrite(r.bytes);
-        r.done = chargeDevice(offset, r.bytes, 1, ready, /*write=*/true);
+        r.done = chargeAligned(
+            alignedExtents(runs, n, &hostfs::ReadRun::bytes),
+            r.bytes, ready, /*write=*/false);
         return r;
     }
 
@@ -102,17 +56,9 @@ class DirectBackend : public StorageBackend
         if (!ok(r.status) || r.bytes == 0)
             return r;
         countWrite(r.bytes);
-        uint64_t aligned = 0;
-        unsigned extents = 0;
-        const uint64_t align = fs.simContext().params.directAlignBytes;
-        for (unsigned i = 0; i < n; ++i) {
-            if (runs[i].len == 0)
-                continue;
-            aligned += alignedSpan(runs[i].offset, runs[i].len, align);
-            ++extents;
-        }
-        r.done = chargeAligned(aligned, r.bytes, extents, ready,
-                               /*write=*/true);
+        r.done = chargeAligned(
+            alignedExtents(runs, n, &hostfs::WriteRun::len),
+            r.bytes, ready, /*write=*/true);
         return r;
     }
 
@@ -135,31 +81,20 @@ class DirectBackend : public StorageBackend
     }
 
   private:
-    /** Single-extent convenience: align [offset, offset+bytes). */
-    Time
-    chargeDevice(uint64_t offset, uint64_t bytes, unsigned extents,
-                 Time ready, bool write)
-    {
-        uint64_t aligned = alignedSpan(
-            offset, bytes, fs.simContext().params.directAlignBytes);
-        return chargeAligned(aligned, bytes, extents, ready, write);
-    }
-
     /** Submit syscall on cpuIo, then one device reservation:
      *  extents * accessLat + aligned bytes at device rate. */
     Time
-    chargeAligned(uint64_t aligned, uint64_t bytes, unsigned extents,
-                  Time ready, bool write)
+    chargeAligned(AlignedExtents a, uint64_t bytes, Time ready, bool write)
     {
-        if (aligned > bytes)
-            unalignedBytes_.inc(aligned - bytes);
+        if (a.bytes > bytes)
+            unalignedBytes_.inc(a.bytes - bytes);
         auto &sim = fs.simContext();
         const auto &p = sim.params;
-        if (aligned == 0 || !p.chargeHostIo)
+        if (a.bytes == 0 || !p.chargeHostIo)
             return ready;
         Time t = sim.cpuIo.reserve(ready, p.preadOverhead).end;
-        Time dur = Time(extents) * p.directAccessLat
-            + transferTime(aligned,
+        Time dur = Time(a.extents) * p.directAccessLat
+            + transferTime(a.bytes,
                            write ? p.directWriteMBps : p.directReadMBps);
         return sim.disk.reserve(t, dur).end;
     }

@@ -36,34 +36,6 @@ class GdsBackend : public StorageBackend
     bool directToGpu() const override { return true; }
 
     hostfs::IoResult
-    read(int fd, uint8_t *dst, uint64_t len, uint64_t offset, Time ready,
-         unsigned gpu) override
-    {
-        auto r = fs.preadUncached(fd, dst, len, offset, ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countRead(r.bytes);
-        r.done = chargeStreamed(offset, r.bytes, 1, ready, gpu,
-                                /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
-    readPages(int fd, uint8_t *const *dsts, unsigned n_pages,
-              uint64_t page_len, uint64_t offset, Time ready,
-              unsigned gpu) override
-    {
-        auto r = fs.preadPagesUncached(fd, dsts, n_pages, page_len, offset,
-                                       ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countRead(r.bytes);
-        r.done = chargeStreamed(offset, r.bytes, 1, ready, gpu,
-                                /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
     readRuns(int fd, hostfs::ReadRun *runs, unsigned n, Time ready,
              unsigned gpu) override
     {
@@ -71,30 +43,9 @@ class GdsBackend : public StorageBackend
         if (!ok(r.status) || r.bytes == 0)
             return r;
         countRead(r.bytes);
-        uint64_t aligned = 0;
-        unsigned extents = 0;
-        const uint64_t align = fs.simContext().params.directAlignBytes;
-        for (unsigned i = 0; i < n; ++i) {
-            if (runs[i].bytes == 0)
-                continue;
-            aligned += alignedSpan(runs[i].offset, runs[i].bytes, align);
-            ++extents;
-        }
-        r.done = chargeAlignedStreamed(aligned, r.bytes, extents, ready,
-                                       gpu, /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
-    write(int fd, const uint8_t *src, uint64_t len, uint64_t offset,
-          Time ready, unsigned gpu) override
-    {
-        auto r = fs.pwriteUncached(fd, src, len, offset, ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countWrite(r.bytes);
-        r.done = chargeStreamed(offset, r.bytes, 1, ready, gpu,
-                                /*write=*/true);
+        r.done = chargeStreamed(
+            alignedExtents(runs, n, &hostfs::ReadRun::bytes),
+            r.bytes, ready, gpu, /*write=*/false);
         return r;
     }
 
@@ -106,17 +57,9 @@ class GdsBackend : public StorageBackend
         if (!ok(r.status) || r.bytes == 0)
             return r;
         countWrite(r.bytes);
-        uint64_t aligned = 0;
-        unsigned extents = 0;
-        const uint64_t align = fs.simContext().params.directAlignBytes;
-        for (unsigned i = 0; i < n; ++i) {
-            if (runs[i].len == 0)
-                continue;
-            aligned += alignedSpan(runs[i].offset, runs[i].len, align);
-            ++extents;
-        }
-        r.done = chargeAlignedStreamed(aligned, r.bytes, extents, ready,
-                                       gpu, /*write=*/true);
+        r.done = chargeStreamed(
+            alignedExtents(runs, n, &hostfs::WriteRun::len),
+            r.bytes, ready, gpu, /*write=*/true);
         return r;
     }
 
@@ -137,32 +80,21 @@ class GdsBackend : public StorageBackend
     }
 
   private:
-    Time
-    chargeStreamed(uint64_t offset, uint64_t bytes, unsigned extents,
-                   Time ready, unsigned gpu, bool write)
-    {
-        uint64_t aligned = alignedSpan(
-            offset, bytes, fs.simContext().params.directAlignBytes);
-        return chargeAlignedStreamed(aligned, bytes, extents, ready, gpu,
-                                     write);
-    }
-
     /** Submit ioctl on cpuIo, then device and DMA engine CONCURRENTLY
      *  (the read streams through the engine as sectors arrive): done
      *  when the slower reservation ends. */
     Time
-    chargeAlignedStreamed(uint64_t aligned, uint64_t bytes,
-                          unsigned extents, Time ready, unsigned gpu,
-                          bool write)
+    chargeStreamed(AlignedExtents a, uint64_t bytes, Time ready,
+                   unsigned gpu, bool write)
     {
         dmas_.inc();
         auto &sim = fs.simContext();
         const auto &p = sim.params;
-        if (aligned == 0 || !p.chargeHostIo)
+        if (a.bytes == 0 || !p.chargeHostIo)
             return ready;
         Time t = sim.cpuIo.reserve(ready, p.preadOverhead).end;
-        Time dev_dur = Time(extents) * p.directAccessLat
-            + transferTime(aligned,
+        Time dev_dur = Time(a.extents) * p.directAccessLat
+            + transferTime(a.bytes,
                            write ? p.directWriteMBps : p.directReadMBps);
         Time dev_end = sim.disk.reserve(t, dev_dur).end;
         Time dma_dur =

@@ -36,34 +36,6 @@ class RemoteFlashBackend : public StorageBackend
     BackendKind kind() const override { return BackendKind::RemoteFlash; }
 
     hostfs::IoResult
-    read(int fd, uint8_t *dst, uint64_t len, uint64_t offset, Time ready,
-         unsigned) override
-    {
-        auto r = fs.preadUncached(fd, dst, len, offset, ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countRead(r.bytes);
-        Time t = submit(ready);
-        r.done = command(offset, r.bytes, t, /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
-    readPages(int fd, uint8_t *const *dsts, unsigned n_pages,
-              uint64_t page_len, uint64_t offset, Time ready,
-              unsigned) override
-    {
-        auto r = fs.preadPagesUncached(fd, dsts, n_pages, page_len, offset,
-                                       ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countRead(r.bytes);
-        Time t = submit(ready);
-        r.done = command(offset, r.bytes, t, /*write=*/false);
-        return r;
-    }
-
-    hostfs::IoResult
     readRuns(int fd, hostfs::ReadRun *runs, unsigned n, Time ready,
              unsigned) override
     {
@@ -83,19 +55,6 @@ class RemoteFlashBackend : public StorageBackend
                                           /*write=*/false));
         }
         r.done = done;
-        return r;
-    }
-
-    hostfs::IoResult
-    write(int fd, const uint8_t *src, uint64_t len, uint64_t offset,
-          Time ready, unsigned) override
-    {
-        auto r = fs.pwriteUncached(fd, src, len, offset, ready);
-        if (!ok(r.status) || r.bytes == 0)
-            return r;
-        countWrite(r.bytes);
-        Time t = submit(ready);
-        r.done = command(offset, r.bytes, t, /*write=*/true);
         return r;
     }
 

@@ -442,6 +442,54 @@ TEST_F(GpuFsApiTest, ConcurrentBlocksReadCorrectly)
     EXPECT_EQ(0u, sys->hostFs().openCount());   // all refs drained
 }
 
+// Regression: gmmap pins like every other API call — a transient
+// NoSpace (frames momentarily unreclaimable while evictions demote into
+// the victim tier) is retried, not handed to the caller as a null
+// mapping. Shape of the skewed-reuse bench: 8 blocks walk a 128-page
+// file, 3 rounds, 32-frame arena, tier on.
+TEST(GmmapPressure, EveryMapSucceedsThroughASmallArena)
+{
+    constexpr uint64_t kPage = 64 * KiB;
+    constexpr uint64_t kFileBytes = 128 * kPage;
+    constexpr unsigned kBlocks = 8, kRounds = 3;
+    GpuFsParams p;
+    p.pageSize = kPage;
+    p.cacheBytes = 32 * kPage;
+    p.readAheadPages = 0;
+    p.readAheadPolicy = ReadAheadPolicy::Static;
+    p.storageBackend = storage::BackendKind::Direct;
+    p.victimCachePages = 2 * kFileBytes / kPage;
+    GpufsSystem sys(1, p);
+    test::addRamp(sys.hostFs(), "/walk", kFileBytes);
+
+    std::atomic<uint64_t> null_maps{0}, bad_bytes{0};
+    gpu::launch(sys.device(0), kBlocks, 512, [&](gpu::BlockCtx &ctx) {
+        GpuFs &fs = sys.fs();
+        int fd = fs.gopen(ctx, "/walk", G_RDONLY);
+        ASSERT_GE(fd, 0);
+        const uint64_t span = kFileBytes / kBlocks;
+        const uint64_t base = ctx.blockId() * span;
+        for (unsigned round = 0; round < kRounds; ++round) {
+            for (uint64_t off = base; off < base + span;) {
+                uint64_t mapped = 0;
+                auto *ptr = static_cast<const uint8_t *>(
+                    fs.gmmap(ctx, fd, off, base + span - off, &mapped));
+                if (!ptr || mapped == 0) {
+                    null_maps.fetch_add(1);
+                    break;
+                }
+                if (ptr[0] != test::rampByte(off))
+                    bad_bytes.fetch_add(1);
+                fs.gmunmap(ctx, const_cast<uint8_t *>(ptr));
+                off += mapped;
+            }
+        }
+        fs.gclose(ctx, fd);
+    });
+    EXPECT_EQ(0u, null_maps.load());
+    EXPECT_EQ(0u, bad_bytes.load());
+}
+
 } // namespace
 } // namespace core
 } // namespace gpufs

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -9,6 +10,7 @@
 
 #include "consistency/consistency.hh"
 #include "gpu/device.hh"
+#include "gpufs/victim.hh"
 #include "hostfs/hostfs.hh"
 #include "rpc/daemon.hh"
 #include "tests/testutil.hh"
@@ -577,6 +579,188 @@ TEST(RpcAggregation, SweepLingerMergesStaggeredBurstIntoOneHostRead)
     EXPECT_EQ(2u, daemon.stats().counter("requests_served").get());
     daemon.stop();
     fs.close(host_fd);
+}
+
+// ---------------------------------------------------------------------
+// One page-service path: every page tries owner peer -> victim tier ->
+// storage, and all storage-bound pages of a call go out as ONE read.
+// ---------------------------------------------------------------------
+
+class PageServiceTest : public ::testing::Test
+{
+  protected:
+    static constexpr uint64_t kPage = 16 * KiB;
+    static constexpr unsigned kFilePages = 16;
+
+    PageServiceTest()
+    {
+        q0 = &daemon.attachGpu(dev0);
+        daemon.attachGpu(dev1);
+        test::addRamp(fs, "/ps", kFilePages * kPage);
+        EXPECT_EQ(Status::Ok, fs.stat("/ps", &info));
+        hostFd = fs.open("/ps", hostfs::O_RDONLY_F);
+        for (auto &p : pages)
+            p.assign(kPage, 0xEE);
+    }
+
+    ~PageServiceTest() override
+    {
+        daemon.stop();
+        fs.close(hostFd);
+    }
+
+    /** Stage file page @p pg in the victim tier at the current version
+     *  (installs the tier; call before start()). */
+    void
+    stage(uint64_t pg)
+    {
+        daemon.setVictimCache(&vc);
+        std::vector<uint8_t> bytes(kPage);
+        for (uint64_t i = 0; i < kPage; ++i)
+            bytes[i] = test::rampByte(pg * kPage + i);
+        vc.insert(info.ino, pg, info.version, bytes.data(), kPage, 0);
+    }
+
+    /** @p n pages from file page @p first into pages[slot...]. */
+    RpcRequest
+    readPages(uint64_t first, unsigned n, unsigned slot)
+    {
+        RpcRequest req;
+        req.op = RpcOp::ReadPages;
+        req.hostFd = hostFd;
+        req.offset = first * kPage;
+        req.len = n * kPage;
+        req.pageLen = kPage;
+        req.pageCount = n;
+        for (unsigned i = 0; i < n; ++i)
+            req.batch[i] = pages[slot + i].data();
+        return req;
+    }
+
+    /** pages[slot...] hold file pages [first, first + n) exactly. */
+    void
+    expectRamp(uint64_t first, unsigned n, unsigned slot)
+    {
+        for (unsigned i = 0; i < n; ++i) {
+            for (uint64_t off = 0; off < kPage; off += 1021) {
+                ASSERT_EQ(test::rampByte((first + i) * kPage + off),
+                          pages[slot + i][off])
+                    << "page " << first + i;
+            }
+        }
+    }
+
+    uint64_t
+    stat(const char *name)
+    {
+        return daemon.stats().counter(name).get();
+    }
+
+    sim::SimContext sim;
+    hostfs::HostFs fs{sim};
+    consistency::ConsistencyMgr mgr;
+    gpu::GpuDevice dev0{sim, 0};
+    gpu::GpuDevice dev1{sim, 1};
+    CpuDaemon daemon{fs, mgr};
+    core::VictimCache vc{kFilePages, kPage, daemon.stats()};
+    hostfs::FileInfo info{};
+    int hostFd = -1;
+    RpcQueue *q0 = nullptr;
+    std::vector<uint8_t> pages[8];
+};
+
+// Tier hits at pages 1 and 3 of a 5-page ReadPages leave three miss
+// runs, which go out as ONE gathered storage read.
+TEST_F(PageServiceTest, ReadPagesVictimGapsShareOneStorageRead)
+{
+    stage(1);
+    stage(3);
+    daemon.start();
+    RpcResponse resp = q0->call(readPages(0, 5, 0));
+    ASSERT_EQ(Status::Ok, resp.status);
+    EXPECT_EQ(5 * kPage, resp.bytes);
+    expectRamp(0, 5, 0);
+    EXPECT_EQ(2u, stat("vc_hits"));
+    EXPECT_EQ(1u, stat("storage_reads"));
+    EXPECT_EQ(1u, stat("host_read_calls"));
+}
+
+// A sweep group member the tier half covers is probed: its staged page
+// comes from host RAM, the rest rides the group's one storage read.
+TEST_F(PageServiceTest, GroupMemberHalfCoveredServesFromVictimTier)
+{
+    stage(4);
+    // Both slots land in the daemon's first sweep: one same-file group.
+    RpcSlot *a = q0->trySubmit(readPages(0, 2, 0));
+    RpcSlot *b = q0->trySubmit(readPages(4, 2, 2));
+    ASSERT_NE(nullptr, a);
+    ASSERT_NE(nullptr, b);
+    daemon.start();
+    RpcResponse ra = q0->collect(*a);
+    RpcResponse rb = q0->collect(*b);
+    ASSERT_EQ(Status::Ok, ra.status);
+    ASSERT_EQ(Status::Ok, rb.status);
+    EXPECT_EQ(2 * kPage, ra.bytes);
+    EXPECT_EQ(2 * kPage, rb.bytes);
+    expectRamp(0, 2, 0);
+    expectRamp(4, 2, 2);
+    EXPECT_EQ(1u, stat("vc_hits"));
+    EXPECT_EQ(1u, stat("coalesced_rpcs"));
+    EXPECT_EQ(1u, stat("storage_reads"));
+}
+
+/** An owner GPU that holds exactly the listed pages of the file. */
+class FixedPeerSource : public PeerPageSource
+{
+  public:
+    FixedPeerSource(std::vector<uint64_t> held, uint64_t page)
+        : held_(std::move(held)), page_(page) {}
+
+    bool
+    peerCopyPage(uint64_t, uint64_t page_idx, uint64_t, uint8_t *dst,
+                 uint32_t *valid_out, Time *) override
+    {
+        if (std::find(held_.begin(), held_.end(), page_idx) == held_.end())
+            return false;
+        for (uint64_t i = 0; i < page_; ++i)
+            dst[i] = test::rampByte(page_idx * page_ + i);
+        *valid_out = static_cast<uint32_t>(page_);
+        return true;
+    }
+    bool
+    peerMirrorExtent(uint64_t, uint64_t, uint64_t, uint32_t,
+                     const uint8_t *, uint32_t) override
+    {
+        return false;
+    }
+    void peerPublishVersion(uint64_t, uint64_t, uint64_t) override {}
+
+  private:
+    std::vector<uint64_t> held_;
+    uint64_t page_;
+};
+
+// The owner serves pages 1 and 3 of 5; the host fallback's three gaps
+// go out as ONE gathered storage read.
+TEST_F(PageServiceTest, PeerFallbackGapsShareOneStorageRead)
+{
+    FixedPeerSource owner({1, 3}, kPage);
+    daemon.setPeerSource(1, &owner);
+    daemon.start();
+    RpcRequest req = readPages(0, 5, 0);
+    req.op = RpcOp::PeerReadPages;
+    req.gpuId = 0;
+    req.peerGpu = 1;
+    req.ino = info.ino;
+    req.version = info.version;
+    RpcResponse resp = q0->call(req);
+    ASSERT_EQ(Status::Ok, resp.status);
+    EXPECT_EQ(5 * kPage, resp.bytes);
+    EXPECT_EQ(2u, resp.peerPages);
+    expectRamp(0, 5, 0);
+    EXPECT_EQ(3u, stat("peer_pages_host_fallback"));
+    EXPECT_EQ(1u, stat("storage_reads"));
+    daemon.setPeerSource(1, nullptr);
 }
 
 } // namespace

@@ -322,10 +322,6 @@ TEST(VictimTest, ProbeGatesOnVersionAndValidLength)
     vc.invalidateRange(5, 2 * 256, 256);
     EXPECT_FALSE(vc.probe(5, 2, 7, out.data(), 256, &ready));
     EXPECT_TRUE(vc.probe(5, 1, 7, out.data(), 128, &ready));
-    // coversRun: all pages must hit.
-    uint64_t expect[2] = {128, 128};
-    EXPECT_TRUE(vc.coversRun(5, 1, 1, 7, expect));
-    EXPECT_FALSE(vc.coversRun(5, 1, 2, 7, expect));
     vc.dropFile(5);
     EXPECT_EQ(0u, vc.residentPages());
 }
