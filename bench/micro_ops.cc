@@ -113,6 +113,48 @@ BM_RpcNopRoundtrip(benchmark::State &state)
 }
 BENCHMARK(BM_RpcNopRoundtrip);
 
+/**
+ * gopen + gclose of a parked file while range(0) files sit parked in
+ * the table, each with one resident page. Every gopen takes the open
+ * slow path (drained collection, Open RPC, closed-table reuse) and
+ * every gclose parks the entry again and releases its host fd, so a
+ * pair costs two RPCs plus the table work, which should not grow with
+ * the number of parked entries.
+ */
+void
+BM_GopenGcloseParked(benchmark::State &state)
+{
+    const unsigned parked = unsigned(state.range(0));
+    core::GpuFsParams p;
+    p.pageSize = 4 * KiB;
+    p.cacheBytes = (parked + 64) * p.pageSize;
+    p.maxOpenFiles = parked + 16;
+    core::GpufsSystem sys(1, p);
+    std::vector<std::string> paths;
+    for (unsigned f = 0; f < parked; ++f) {
+        paths.push_back("/parked/f" + std::to_string(f));
+        sys.hostFs().addFile(
+            paths.back(),
+            std::make_unique<hostfs::InMemoryContent>(
+                std::vector<uint8_t>(p.pageSize, uint8_t(f))),
+            p.pageSize);
+    }
+    gpu::BlockCtx ctx(sys.device(0), 0, 1, 512, 0, 4096);
+    uint8_t byte;
+    for (const std::string &path : paths) {
+        int fd = sys.fs().gopen(ctx, path, core::G_RDONLY);
+        sys.fs().gread(ctx, fd, 0, 1, &byte);
+        sys.fs().gclose(ctx, fd);
+    }
+    size_t next = 0;
+    for (auto _ : state) {
+        int fd = sys.fs().gopen(ctx, paths[next], core::G_RDONLY);
+        benchmark::DoNotOptimize(sys.fs().gclose(ctx, fd));
+        next = next + 1 == paths.size() ? 0 : next + 1;
+    }
+}
+BENCHMARK(BM_GopenGcloseParked)->Arg(128)->Arg(1024)->Arg(4096);
+
 void
 BM_GsnprintfLine(benchmark::State &state)
 {

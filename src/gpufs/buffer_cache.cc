@@ -20,9 +20,10 @@ namespace {
 
 /**
  * The paper's policy (§4.2): three constant-work passes over the file
- * table — closed clean files (evictable with no GPU-CPU communication),
- * then open read-only files, then writable files as a last resort.
- * Within a file, frames go in the FIFO order of their leaf nodes.
+ * table's live caches — closed clean files (evictable with no GPU-CPU
+ * communication), then open read-only files, then writable files as a
+ * last resort. Within a file, frames go in the FIFO order of their
+ * leaf nodes.
  */
 class PaperTieredPolicy : public EvictionPolicy
 {
@@ -202,6 +203,8 @@ class RandomPolicy : public EvictionPolicy
   public:
     const char *name() const override { return "random"; }
 
+    bool samplesAllFiles() const override { return true; }
+
     unsigned
     reclaim(const std::vector<CacheFile *> &files, FrameArena &,
             unsigned want, const EvictFn &evict) override
@@ -330,10 +333,44 @@ BufferCache::cacheCounters(StatSet &stat_set)   // static
                          stat_set.counter("ra_wasted")};
 }
 
+namespace {
+
+/** Attach-order position of @p f in @p list (a paging list). */
+std::vector<CacheFile *>::iterator
+listPos(std::vector<CacheFile *> &list, const CacheFile *f)
+{
+    return std::lower_bound(list.begin(), list.end(), f,
+                            [](const CacheFile *a, const CacheFile *b) {
+                                return a->attachIdx < b->attachIdx;
+                            });
+}
+
+/** Add an attached file to @p list unless it is already there. */
+void
+listAdd(std::vector<CacheFile *> &list, CacheFile *f)
+{
+    if (f->attachIdx == CacheFile::kNotAttached)
+        return;
+    auto pos = listPos(list, f);
+    if (pos == list.end() || *pos != f)
+        list.insert(pos, f);
+}
+
+void
+listDrop(std::vector<CacheFile *> &list, CacheFile *f)
+{
+    auto pos = listPos(list, f);
+    if (pos != list.end() && *pos == f)
+        list.erase(pos);
+}
+
+} // namespace
+
 void
 BufferCache::attach(CacheFile &f)
 {
     PagingGuard lock(*this);
+    f.attachIdx = static_cast<unsigned>(attached_.size());
     attached_.push_back(&f);
 }
 
@@ -341,6 +378,7 @@ void
 BufferCache::setupFile(CacheFile &f)
 {
     PagingGuard lock(*this);
+    listAdd(live_, &f);
     f.cache = std::make_unique<FileCache>(arena_, cacheCounters_,
                                           params_.forceLockedTraversal);
     // Eviction-side prefetch feedback (noteWasted) reaches the file's
@@ -368,6 +406,8 @@ BufferCache::parkFile(CacheFile &f, uint64_t close_seq)
         // unretired async op may need it to refetch evicted pages at
         // resolution. maybeReleaseClosedFd picks the fd up once they
         // complete.
+        if (f.hostFd >= 0)
+            listAdd(keptFd_, &f);
         return -1;
     }
     int old_fd = f.hostFd;
@@ -382,6 +422,7 @@ BufferCache::reopenFile(CacheFile &f, int new_host_fd)
     int old_fd = f.hostFd;
     f.hostFd = new_host_fd;
     f.closed = false;
+    listDrop(keptFd_, &f);
     return old_fd;
 }
 
@@ -391,7 +432,32 @@ BufferCache::dropPages(CacheFile &f)
     PagingGuard lock(*this);
     if (f.fetchInFlight.load(std::memory_order_acquire) != 0)
         return false;   // split-phase fetch targets these frames
-    return f.cache ? f.cache->dropAll() : true;
+    bool dropped = f.cache ? f.cache->dropAll() : true;
+    noteEvictedParked(f);
+    return dropped;
+}
+
+void
+BufferCache::noteEvictedParked(CacheFile &f)
+{
+    if (!f.closed)
+        return;
+    std::lock_guard<std::mutex> lock(evictedMtx_);
+    if (f.evictNoted)
+        return;
+    f.evictNoted = true;
+    evictedParked_.push_back(&f);
+}
+
+std::vector<CacheFile *>
+BufferCache::takeEvictedParked()
+{
+    std::vector<CacheFile *> out;
+    std::lock_guard<std::mutex> lock(evictedMtx_);
+    out.swap(evictedParked_);
+    for (CacheFile *f : out)
+        f->evictNoted = false;
+    return out;
 }
 
 void
@@ -403,6 +469,8 @@ BufferCache::destroyFile(CacheFile &f)
     bool clean = f.cache->dropAll();
     gpufs_assert(clean, "destroying file cache with pinned pages");
     f.cache.reset();
+    listDrop(live_, &f);
+    listDrop(keptFd_, &f);
 }
 
 Status
@@ -1130,9 +1198,13 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
                             f.version.load(std::memory_order_relaxed),
                             data, valid, ready, owner_tenant);
         };
-        if (frame_hint != kNoFrame)
-            return f.cache->evictFrame(frame_hint, allow_dirty, wb,
-                                       demote);
+        if (frame_hint != kNoFrame) {
+            unsigned freed = f.cache->evictFrame(frame_hint, allow_dirty,
+                                                 wb, demote);
+            if (freed != 0)
+                noteEvictedParked(f);
+            return freed;
+        }
         if (allow_dirty && params_.batchWriteback && f.hostFd >= 0 &&
             !f.noSync && f.cache->dirtyCount() != 0) {
             // Dirty eviction routes through the batched path: push
@@ -1150,9 +1222,14 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
                 gpufs_warn("eviction batch write-back failed: %s",
                            statusName(st));
         }
-        return f.cache->reclaim(n, allow_dirty, wb, demote);
+        unsigned freed = f.cache->reclaim(n, allow_dirty, wb, demote);
+        if (freed != 0)
+            noteEvictedParked(f);
+        return freed;
     };
 
+    const std::vector<CacheFile *> &files =
+        policy_->samplesAllFiles() ? attached_ : live_;
     unsigned freed;
     if (tenant != kAnyTenant && arena_.tenantAtQuota(tenant)) {
         // The faulting tenant is at its frame quota: the arena may
@@ -1161,21 +1238,22 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
         // to make room this tenant is not entitled to. Run the policy
         // over only this tenant's files — eviction within quota.
         std::vector<CacheFile *> own;
-        own.reserve(attached_.size());
-        for (CacheFile *f : attached_) {
+        own.reserve(files.size());
+        for (CacheFile *f : files) {
             if (f->tenant.load(std::memory_order_relaxed) == tenant)
                 own.push_back(f);
         }
         freed = policy_->reclaim(own, arena_, want, evict);
     } else {
-        freed = policy_->reclaim(attached_, arena_, want, evict);
+        freed = policy_->reclaim(files, arena_, want, evict);
     }
 
     // Closed files whose last dirty page just went home can release
-    // their host fd (and with it the host-side write claim).
-    for (CacheFile *f : attached_) {
-        if (f->closed && f->cache)
-            maybeReleaseClosedFdLocked(ctx, *f);
+    // their host fd (and with it the host-side write claim). A release
+    // drops the file from keptFd_, moving the next one into slot i.
+    for (size_t i = 0; i < keptFd_.size();) {
+        if (!maybeReleaseClosedFdLocked(ctx, *keptFd_[i]))
+            ++i;
     }
     return freed;
 }
@@ -1187,7 +1265,7 @@ BufferCache::maybeReleaseClosedFd(gpu::BlockCtx &ctx, CacheFile &f)
     maybeReleaseClosedFdLocked(ctx, f);
 }
 
-void
+bool
 BufferCache::maybeReleaseClosedFdLocked(gpu::BlockCtx &ctx, CacheFile &f)
 {
     if (f.closed && f.hostFd >= 0 && f.cache &&
@@ -1202,7 +1280,10 @@ BufferCache::maybeReleaseClosedFdLocked(gpu::BlockCtx &ctx, CacheFile &f)
         rpc::RpcResponse resp = queue.call(req);
         ctx.waitUntil(resp.done);
         f.hostFd = -1;
+        listDrop(keptFd_, &f);
+        return true;
     }
+    return false;
 }
 
 namespace {

@@ -117,8 +117,17 @@ struct CacheFile {
      *  tenant re-points only future faults). */
     std::atomic<uint8_t> tenant{0};
 
+    /** Position in the BufferCache's attach order (the file-table
+     *  slot for GpuFs entries); the paging lists keep this order. */
+    static constexpr unsigned kNotAttached = ~0u;
+    unsigned attachIdx = kNotAttached;
+
     /** Parked (closed-table) entry: first eviction tier when clean. */
     std::atomic<bool> closed{false};
+    /** Queued in the BufferCache's evicted-parked list (see
+     *  takeEvictedParked); keeps each file there at most once. Guarded
+     *  by the BufferCache's evictedMtx_. */
+    bool evictNoted = false;
     /** Stamp of the close that parked this entry (oldest goes first). */
     uint64_t closeSeq = 0;
 
@@ -190,12 +199,19 @@ class EvictionPolicy
     virtual const char *name() const = 0;
 
     /**
-     * Free up to @p want frames from @p files (the attached set, stable
-     * while the paging lock is held). @return frames freed.
+     * Free up to @p want frames from @p files: the attached files with
+     * a live cache, in attach order (every attached file, cacheless
+     * ones included, when samplesAllFiles()); stable while the paging
+     * lock is held. @return frames freed.
      */
     virtual unsigned reclaim(const std::vector<CacheFile *> &files,
                              FrameArena &arena, unsigned want,
                              const EvictFn &evict) = 0;
+
+    /** True for a policy that draws victims uniformly over every
+     *  attached file, so that a draw landing on a cacheless file is
+     *  one of its wasted attempts. */
+    virtual bool samplesAllFiles() const { return false; }
 };
 
 /** Instantiate the policy selected by GpuFsParams::evictPolicy. */
@@ -277,9 +293,9 @@ class BufferCache
 
     // ---- file lifecycle ----
 
-    /** Register @p f as a paging candidate. Entries without a live
-     *  FileCache are skipped by reclamation, so attaching the whole
-     *  file table up front is cheap. */
+    /** Register @p f as a paging candidate. Reclamation visits only
+     *  files with a live FileCache, so attaching the whole file table
+     *  up front is cheap. */
     void attach(CacheFile &f);
 
     /** Allocate @p f's FileCache (on open of a fresh entry). */
@@ -456,6 +472,15 @@ class BufferCache
      *  consistency claim) once its cache holds no dirty data. */
     void maybeReleaseClosedFd(gpu::BlockCtx &ctx, CacheFile &f);
 
+    /**
+     * Parked files that lost pages (eviction, dropPages) since the last
+     * call, each once, in no particular order. A parked file holding a
+     * Ready page can become drained only this way, so the API layer's
+     * drained-cache collection re-checks just these files and the ones
+     * parked since. Callable under the table lock or the paging lock.
+     */
+    std::vector<CacheFile *> takeEvictedParked();
+
     // ---- sharded multi-GPU cache ----
 
     /**
@@ -606,15 +631,29 @@ class BufferCache
     /** Machine-wide host-RAM victim tier; null = demotion off. */
     VictimCache *victim_ = nullptr;
 
-    /** Guards the attached set and serializes reclamation passes; also
-     *  excludes FileCache creation/destruction against a concurrent
-     *  reclaim walking the same entries. Callers holding the API
-     *  layer's table lock may take this after it, never the reverse
-     *  (see pagingLockHeldByCaller). */
+    /** Guards the attached set and the two lists below and serializes
+     *  reclamation passes; also excludes FileCache creation/destruction
+     *  against a concurrent reclaim walking the same entries. Callers
+     *  holding the API layer's table lock may take this after it, never
+     *  the reverse (see pagingLockHeldByCaller). */
     std::mutex pagingMtx;
     /** Thread currently inside pagingMtx (lock-order assertions). */
     std::atomic<std::thread::id> pagingOwner_{};
     std::vector<CacheFile *> attached_;
+    /** Attached files with a live cache, in attach order: what the
+     *  eviction policies walk (setupFile adds, destroyFile removes). */
+    std::vector<CacheFile *> live_;
+    /** Parked files that kept their host fd, in attach order: the
+     *  post-reclaim release walk visits only these (parkFile adds; a
+     *  release, reopen or destroy removes). */
+    std::vector<CacheFile *> keptFd_;
+    /** Leaf lock (never held around another) over evictedParked_ and
+     *  each file's evictNoted flag. */
+    std::mutex evictedMtx_;
+    std::vector<CacheFile *> evictedParked_;
+
+    /** Queue @p f for takeEvictedParked if it is parked. */
+    void noteEvictedParked(CacheFile &f);
 
     /** pagingMtx RAII that also publishes the owner thread. */
     struct PagingGuard {
@@ -770,7 +809,9 @@ class BufferCache
                              uint64_t first_page, uint64_t last_page,
                              unsigned *pages_out, uint64_t max_pages);
 
-    void maybeReleaseClosedFdLocked(gpu::BlockCtx &ctx, CacheFile &f);
+    /** Release @p f's kept host fd once it is parked clean with
+     *  nothing in flight. @return true iff released. */
+    bool maybeReleaseClosedFdLocked(gpu::BlockCtx &ctx, CacheFile &f);
 };
 
 } // namespace core

@@ -21,8 +21,9 @@
  * back; the fd is released when the pages are synced, invalidated, or
  * the entry is recycled.
  *
- * FileTable owns the entry array and the lookup/recycling scans; all
- * calls must run under the owning GpuFs's table lock.
+ * FileTable owns the entry array, its state transitions and the
+ * indexes that find entries without scanning it; all calls must run
+ * under the owning GpuFs's table lock.
  */
 
 #ifndef GPUFS_GPUFS_FILE_TABLE_HH
@@ -31,7 +32,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "gpufs/buffer_cache.hh"
@@ -93,14 +97,15 @@ struct GStat {
 };
 
 /** One file-table entry. State transitions happen under the GpuFs
- *  table lock; data-plane fields are read lock-free. The cache-layer
- *  view of the file (page cache, host fd, size/version, write-back
- *  semantics) lives in the embedded CacheFile, which the API layer
- *  keeps current as flags and open state change. */
+ *  table lock, and only through FileTable (markOpen / markClosed /
+ *  markFree), which keeps its lookup indexes in step with them;
+ *  data-plane fields are read lock-free. The cache-layer view of the
+ *  file (page cache, host fd, size/version, write-back semantics)
+ *  lives in the embedded CacheFile, which the API layer keeps current
+ *  as flags and open state change. */
 struct OpenFile {
     enum class EState { Free, Open, Closed };
 
-    EState state = EState::Free;
     std::string path;
     uint64_t ino = 0;
     uint32_t flags = 0;
@@ -108,6 +113,8 @@ struct OpenFile {
 
     /** Cache-layer state; registered with the BufferCache. */
     CacheFile cf;
+
+    EState state() const { return state_; }
 
     bool
     wantsWrite() const
@@ -127,7 +134,7 @@ struct OpenFile {
     bool
     flushEligible() const
     {
-        return state != EState::Free && !nosync() && cf.cache &&
+        return state_ != EState::Free && !nosync() && cf.cache &&
             cf.cache->dirtyCount() != 0;
     }
 
@@ -142,12 +149,17 @@ struct OpenFile {
         cf.tenant.store(tenant(), std::memory_order_relaxed);
     }
 
+  private:
+    friend class FileTable;
+
+    EState state_ = EState::Free;
+
     /** Return the entry to the Free state (cache already destroyed and
      *  host fd released by the caller). */
     void
     resetEntry()
     {
-        state = EState::Free;
+        state_ = EState::Free;
         path.clear();
         ino = 0;
         flags = 0;
@@ -167,8 +179,15 @@ struct OpenFile {
     }
 };
 
-/** The fixed-capacity entry array plus its lookup and recycling scans.
- *  Thread-compatible: the owning GpuFs serializes access. */
+/**
+ * The fixed-capacity entry array, its state transitions and its lookup
+ * indexes. Every lookup returns exactly the entry a linear scan of the
+ * array would, i.e. the lowest matching slot; the indexes only make
+ * finding it cheaper. They are updated by the three transition calls,
+ * the only writers of OpenFile::state, so they can never disagree with
+ * the entries. Thread-compatible: the owning GpuFs serializes access
+ * with its table lock.
+ */
 class FileTable
 {
   public:
@@ -180,11 +199,34 @@ class FileTable
     /** Validate @p fd and return its entry iff it is Open. */
     OpenFile *openEntry(int fd);
 
+    // ---- state transitions ----
+
+    /**
+     * Free or Closed -> Open: set path, inode and flags, one reference,
+     * and project the flags into the cache layer.
+     */
+    void markOpen(int idx, const std::string &path, uint64_t ino,
+                  uint32_t flags);
+
+    /** Open -> Closed. The cache layer has stamped cf.closeSeq
+     *  (BufferCache::parkFile), which orders recycling. */
+    void markClosed(int idx);
+
+    /** Any -> Free (cache already destroyed and host fd released by
+     *  the caller). */
+    void markFree(int idx);
+
+    // ---- lookups ----
+
     /** Index of the Open entry for @p path, or -1. */
-    int findOpenByPath(const std::string &path);
+    int findOpenByPath(const std::string &path) const;
+
+    /** Slots of every Open or Closed entry named @p path, ascending
+     *  (gunlink reclaims all of them). */
+    std::vector<int> slotsOfPath(const std::string &path) const;
 
     /** Index of the Closed entry caching inode @p ino, or -1. */
-    int findClosedByIno(uint64_t ino);
+    int findClosedByIno(uint64_t ino) const;
 
     /** The Open OR Closed entry for inode @p ino with a live cache, or
      *  null. The daemon's peer-cache probes use this: a parked entry's
@@ -193,25 +235,33 @@ class FileTable
     OpenFile *findAnyByIno(uint64_t ino);
 
     /** Index of the first Free entry, or -1. */
-    int findFree();
+    int findFree() const;
 
     /**
      * Pick the Closed entry to recycle when the table is full: oldest
      * close stamp first, preferring clean entries (their caches drop
      * without write-back). @return index, or -1 if nothing is Closed.
      */
-    int pickRecyclable();
+    int pickRecyclable() const;
 
     /**
      * Index of a Closed entry whose cache eviction has fully drained
      * (no resident and no dirty pages), or -1. The owner destroys
      * such entries on the open slow path — retaining their empty
      * radix trees would hold memory proportional to every file ever
-     * streamed through the cache.
+     * streamed through the cache. Visits only drain candidates: the
+     * entries parked or reported by noteEvicted since they were last
+     * seen holding a Ready page.
      */
     int findDrainedClosed();
 
-    /** Entry whose page-cache uid is @p uid (gmsync path), or null. */
+    /** Slot @p idx lost pages (BufferCache::takeEvictedParked): if it
+     *  is Closed it may have drained, so findDrainedClosed re-checks
+     *  it. */
+    void noteEvicted(int idx);
+
+    /** Entry whose page-cache uid is @p uid (gmsync path), or null.
+     *  A linear scan: only the per-mapping gmsync calls it. */
     OpenFile *findByCacheUid(uint64_t uid);
 
     /** Entries (any state) currently holding a host fd. */
@@ -220,7 +270,28 @@ class FileTable
     std::vector<std::unique_ptr<OpenFile>> &entries() { return entries_; }
 
   private:
+    /** Ascending slots of the entries sharing one key. Almost always
+     *  one slot: only a stale cache parked under an unretired async
+     *  token leaves two entries for one inode. */
+    using Slots = std::vector<int>;
+
+    static void addSlot(Slots &slots, int idx);
+    template <typename Map, typename Key>
+    static void dropSlot(Map &index, const Key &key, int idx);
+
     std::vector<std::unique_ptr<OpenFile>> entries_;
+
+    /** Open and Closed entries by path and by inode. */
+    std::unordered_map<std::string, Slots> byPath_;
+    std::unordered_map<uint64_t, Slots> byIno_;
+    std::set<int> free_;
+    /** Closed entries that may have drained, in slot order. Every
+     *  drained Closed entry is here: an entry leaves only while it
+     *  holds a Ready page, and losing that page reports it back. */
+    std::set<int> drainCandidates_;
+    /** Closed entries by (cf.closeSeq, slot), for recycling. The stamp
+     *  does not change while the entry is Closed. */
+    std::set<std::pair<uint64_t, int>> closedBySeq_;
 };
 
 } // namespace core

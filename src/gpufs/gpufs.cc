@@ -117,14 +117,25 @@ GpuFs::rpcCall(gpu::BlockCtx &ctx, rpc::RpcRequest &req)
 }
 
 void
-GpuFs::destroyEntryLocked(gpu::BlockCtx &ctx, OpenFile &entry)
+GpuFs::destroyEntryLocked(gpu::BlockCtx &ctx, int idx)
 {
+    OpenFile &entry = table_.at(idx);
     bc_.destroyFile(entry.cf);
     if (entry.cf.hostFd >= 0) {
         closeHostFd(ctx, entry.cf.hostFd);
         entry.cf.hostFd = -1;
     }
-    entry.resetEntry();
+    table_.markFree(idx);
+}
+
+int
+GpuFs::nextDrainedLocked()
+{
+    // Entries are attached in slot order, so a file's attach position
+    // is its slot.
+    for (CacheFile *f : bc_.takeEvictedParked())
+        table_.noteEvicted(static_cast<int>(f->attachIdx));
+    return table_.findDrainedClosed();
 }
 
 int
@@ -147,7 +158,7 @@ GpuFs::allocEntryLocked(gpu::BlockCtx &ctx)
             gpufs_warn("write-back failed recycling entry: %s",
                        statusName(wb_st));
     }
-    destroyEntryLocked(ctx, victim);
+    destroyEntryLocked(ctx, idx);
     return idx;
 }
 
@@ -183,8 +194,8 @@ GpuFs::gopen(gpu::BlockCtx &ctx, const std::string &path, uint32_t flags)
 
     // Slow path. First collect closed entries eviction has fully
     // drained — their empty radix trees hold memory for nothing.
-    for (int di; (di = table_.findDrainedClosed()) >= 0;)
-        destroyEntryLocked(ctx, table_.at(di));
+    for (int di; (di = nextDrainedLocked()) >= 0;)
+        destroyEntryLocked(ctx, di);
 
     // Open on the host.
     rpc::RpcRequest req;
@@ -214,13 +225,8 @@ GpuFs::gopen(gpu::BlockCtx &ctx, const std::string &path, uint32_t flags)
         if (e.cf.version.load(std::memory_order_relaxed) == resp.version &&
             e.cf.cache) {
             int old_fd = bc_.reopenFile(e.cf, resp.hostFd);
-            e.state = OpenFile::EState::Open;
-            e.path = path;
-            e.flags = flags;
-            e.refs.store(1, std::memory_order_relaxed);
-            e.cf.ino = resp.ino;
+            table_.markOpen(cidx, path, resp.ino, flags);
             e.cf.size.store(resp.size, std::memory_order_relaxed);
-            e.syncCacheFlags();
             if (old_fd >= 0) {
                 // The entry had kept its fd for dirty pages; the new
                 // claim is established, release the old one.
@@ -234,7 +240,7 @@ GpuFs::gopen(gpu::BlockCtx &ctx, const std::string &path, uint32_t flags)
         // sweeps destroy it once they retire (its opInFlight guard).
         cntInvalidations.inc();
         if (e.cf.opInFlight.load(std::memory_order_acquire) == 0)
-            destroyEntryLocked(ctx, e);
+            destroyEntryLocked(ctx, cidx);
         else
             cidx = -1;
     }
@@ -245,18 +251,12 @@ GpuFs::gopen(gpu::BlockCtx &ctx, const std::string &path, uint32_t flags)
         return -static_cast<int>(Status::TooManyFiles);
     }
     OpenFile &e = table_.at(nidx);
-    e.state = OpenFile::EState::Open;
-    e.path = path;
-    e.ino = resp.ino;
-    e.flags = flags;
-    e.refs.store(1, std::memory_order_relaxed);
     e.cf.hostFd = resp.hostFd;
-    e.cf.ino = resp.ino;
     e.cf.version.store(resp.version, std::memory_order_relaxed);
     e.cf.size.store(resp.size, std::memory_order_relaxed);
     e.cf.closed = false;
-    e.syncCacheFlags();
     bc_.setupFile(e.cf);
+    table_.markOpen(nidx, path, resp.ino, flags);
     return nidx;
 }
 
@@ -284,8 +284,8 @@ GpuFs::gclose(gpu::BlockCtx &ctx, int fd)
     // is NOT written back — close and sync are decoupled (§3.2); a
     // clean cache releases the host fd (and consistency claim) now,
     // a dirty one keeps it for future eviction write-back.
-    e->state = OpenFile::EState::Closed;
     int release_fd = bc_.parkFile(e->cf, ++closeCounter);
+    table_.markClosed(fd);
     if (release_fd >= 0)
         closeHostFd(ctx, release_fd);
     return Status::Ok;
@@ -1021,12 +1021,10 @@ GpuFs::gunlink(gpu::BlockCtx &ctx, const std::string &path)
         auto lock = lockTable();
         // "Files unlinked on the GPU have their local buffer space
         // reclaimed immediately" (Table 1).
-        for (auto &eptr : table_.entries()) {
-            OpenFile &e = *eptr;
-            if (e.state == OpenFile::EState::Free || e.path != path)
-                continue;
-            if (e.state == OpenFile::EState::Closed) {
-                destroyEntryLocked(ctx, e);
+        for (int idx : table_.slotsOfPath(path)) {
+            OpenFile &e = table_.at(idx);
+            if (e.state() == OpenFile::EState::Closed) {
+                destroyEntryLocked(ctx, idx);
             } else if (e.cf.cache) {
                 if (!bc_.dropPages(e.cf))
                     return Status::Busy;
@@ -1186,7 +1184,7 @@ GpuFs::backgroundFlushPass(Time start_time)
         // A closed file whose last dirty page just went home can
         // release its host fd (and host-side write claim) now instead
         // of waiting for the next reclaim pass.
-        if (e.state == OpenFile::EState::Closed)
+        if (e.state() == OpenFile::EState::Closed)
             bc_.maybeReleaseClosedFd(ctx, e.cf);
     }
     if (drained_any)
@@ -1198,8 +1196,8 @@ GpuFs::backgroundFlushPass(Time start_time)
     // empty radix tree (and possibly a host fd) for nothing.
     {
         auto lock = lockTable();
-        for (int di; (di = table_.findDrainedClosed()) >= 0;) {
-            destroyEntryLocked(ctx, table_.at(di));
+        for (int di; (di = nextDrainedLocked()) >= 0;) {
+            destroyEntryLocked(ctx, di);
             cntDrainedCollected.inc();
         }
     }

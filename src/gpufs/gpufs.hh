@@ -453,11 +453,16 @@ class GpuFs : public rpc::PeerPageSource
         rpcCall(ctx, req);
     }
 
-    /** Destroy an entry's cache and release its fd (table lock held). */
-    void destroyEntryLocked(gpu::BlockCtx &ctx, OpenFile &entry);
+    /** Destroy slot @p idx's cache, release its fd and free the slot
+     *  (table lock held). */
+    void destroyEntryLocked(gpu::BlockCtx &ctx, int idx);
 
     /** Free slot, recycling the oldest closed entry if needed. */
     int allocEntryLocked(gpu::BlockCtx &ctx);
+
+    /** Lowest-slot Closed entry whose cache has drained, or -1 (table
+     *  lock held; see FileTable::findDrainedClosed). */
+    int nextDrainedLocked();
 
     // ---- async request table internals ----
 

@@ -250,12 +250,18 @@ class RpcQueue
         return n;
     }
 
-    /** Daemon side: publish the response and release the slot. */
+    /** Daemon side: publish the response and release the slot. The
+     *  store is seq_cst, not release: notify_all skips the wake when it
+     *  sees no registered waiter, and a waiter registers before its
+     *  last value check, so the store must be ordered before that
+     *  waiter-count load or a block can sleep on a slot already Done
+     *  (a release store may pass the load, and did, hanging a block
+     *  with the daemon idle). */
     static void
     complete(RpcSlot &slot, const RpcResponse &resp)
     {
         slot.resp = resp;
-        slot.state.store(kSlotDone, std::memory_order_release);
+        slot.state.store(kSlotDone, std::memory_order_seq_cst);
         slot.state.notify_all();
     }
 
@@ -279,7 +285,9 @@ class RpcQueue
     ringDoorbell()
     {
         if (readyPending_.fetch_add(1, std::memory_order_acq_rel) <= 0) {
-            doorbell.fetch_add(1, std::memory_order_release);
+            // seq_cst for the same reason as complete(): the ring must
+            // be ordered before notify_one's waiter-count load.
+            doorbell.fetch_add(1, std::memory_order_seq_cst);
             doorbell.notify_one();
         } else {
             ringsSuppressed_.fetch_add(1, std::memory_order_relaxed);
