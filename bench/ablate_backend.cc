@@ -53,7 +53,6 @@ runSeqScan(storage::BackendKind kind, uint64_t file_bytes,
     p.pageSize = page_size;
     p.cacheBytes = ((file_bytes / page_size) + 64) * page_size;
     p.readAheadPages = ra_pages;
-    p.readAheadPolicy = core::ReadAheadPolicy::Static;
     p.storageBackend = kind;
     // Tier explicitly OFF: the identity gate freezes the backend layer
     // against the pre-refactor span, so the victim cache (a separate
@@ -103,7 +102,6 @@ runRandomCold(storage::BackendKind kind, uint64_t file_bytes,
     p.pageSize = page_size;
     p.cacheBytes = 2 * GiB;
     p.readAheadPages = 0;
-    p.readAheadPolicy = core::ReadAheadPolicy::Static;
     p.storageBackend = kind;
     core::GpufsSystem sys(1, p);
     if (rtt_override)
@@ -152,7 +150,6 @@ runReuse(storage::BackendKind kind, uint64_t hot_bytes,
     p.pageSize = page_size;
     p.cacheBytes = std::max<uint64_t>(hot_bytes / 4, 4 * page_size);
     p.readAheadPages = 0;
-    p.readAheadPolicy = core::ReadAheadPolicy::Static;
     p.storageBackend = kind;
     p.victimCachePages = victim_pages;
     core::GpufsSystem sys(1, p);
@@ -200,7 +197,6 @@ runSharedScan(storage::BackendKind kind, uint64_t file_bytes,
     p.pageSize = page_size;
     p.cacheBytes = ((file_bytes / page_size) + 64) * page_size;
     p.readAheadPages = 4;
-    p.readAheadPolicy = core::ReadAheadPolicy::Static;
     p.storageBackend = kind;
     core::GpufsSystem sys(1, p);
     bench::addZerosFile(sys.hostFs(), kPath, file_bytes);

@@ -20,6 +20,7 @@
  */
 
 #include <cstdlib>
+#include <optional>
 
 #include "bench/benchutil.hh"
 #include "gpu/launch.hh"
@@ -30,15 +31,14 @@ namespace {
 
 struct RaConfig {
     const char *name;
-    unsigned staticPages;       // 0 with Static policy = off
-    core::ReadAheadPolicy policy;
+    std::optional<unsigned> readAheadPages;  // GpuFsParams encoding
 };
 
 const RaConfig kConfigs[] = {
-    {"static_0", 0, core::ReadAheadPolicy::Static},
-    {"static_4", 4, core::ReadAheadPolicy::Static},
-    {"static_16", 16, core::ReadAheadPolicy::Static},
-    {"adaptive", 0, core::ReadAheadPolicy::Adaptive},
+    {"static_0", 0},
+    {"static_4", 4},
+    {"static_16", 16},
+    {"adaptive", std::nullopt},
 };
 
 struct RunResult {
@@ -68,8 +68,7 @@ runSequential(const RaConfig &cfg, uint64_t file_bytes, unsigned blocks)
     p.pageSize = kPage;
     p.cacheBytes =
         ((uint64_t(blocks) * file_bytes / kPage) + 64) * kPage;
-    p.readAheadPages = cfg.staticPages;
-    p.readAheadPolicy = cfg.policy;
+    p.readAheadPages = cfg.readAheadPages;
     core::GpufsSystem sys(1, p);
     for (unsigned b = 0; b < blocks; ++b) {
         std::string path = "/data/seq" + std::to_string(b);
@@ -108,8 +107,7 @@ runRandom(const RaConfig &cfg, uint64_t file_bytes, unsigned blocks,
     core::GpuFsParams p;
     p.pageSize = kPage;
     p.cacheBytes = 2 * ((file_bytes / kPage) + 64) * kPage;
-    p.readAheadPages = cfg.staticPages;
-    p.readAheadPolicy = cfg.policy;
+    p.readAheadPages = cfg.readAheadPages;
     core::GpufsSystem sys(1, p);
     bench::addZerosFile(sys.hostFs(), "/data/rand", file_bytes);
     bench::warmHostCache(sys.hostFs(), "/data/rand");

@@ -13,6 +13,8 @@
  * sits at ~2,100 MB/s against a 5,731 MB/s PCIe ceiling.
  */
 
+#include <optional>
+
 #include "bench/benchutil.hh"
 #include "cuda/cudasim.hh"
 #include "gpu/launch.hh"
@@ -39,18 +41,17 @@ struct GpufsRun {
 /** The GPUfs sequential-read kernel: the paper's "trivial 16 line
  *  GPU kernel". Each block maps its contiguous range page by page. */
 GpufsRun
-runGpufs(uint64_t file_bytes, uint64_t page_size, unsigned ra_pages = 0,
-         core::ReadAheadPolicy policy = core::ReadAheadPolicy::Static)
+runGpufs(uint64_t file_bytes, uint64_t page_size,
+         std::optional<unsigned> ra_pages = 0)
 {
     core::GpuFsParams p;
     p.pageSize = page_size;
     // Cache sized to hold the file (the paper's 6 GB GPU does).
     p.cacheBytes = ((file_bytes / page_size) + 64) * page_size;
-    p.readAheadPages = ra_pages;
     // Static by default: the paper-parity sweep and the ra_pages=0
     // baseline of the RPC table must stay pure demand paging (the
-    // Adaptive default would prefetch parts of this scan itself).
-    p.readAheadPolicy = policy;
+    // adaptive default would prefetch parts of this scan itself).
+    p.readAheadPages = ra_pages;
     p.storageBackend = gBackend;
     core::GpufsSystem sys(1, p);
     bench::addZerosFile(sys.hostFs(), kPath, file_bytes);
@@ -188,8 +189,7 @@ main(int argc, char **argv)
     // sits at the no-prefetch floor — the "never hurts" guarantee, not
     // the ramp (bench/ablate_readahead shows the ramp on clean
     // per-file streams).
-    GpufsRun a = runGpufs(file_bytes, ra_page_size, 0,
-                          core::ReadAheadPolicy::Adaptive);
+    GpufsRun a = runGpufs(file_bytes, ra_page_size, std::nullopt);
     std::printf("%-9s %10llu %11llu %10llu %8llu %9.1fx %11.0f\n",
                 "adaptive",
                 static_cast<unsigned long long>(a.readRpcs),

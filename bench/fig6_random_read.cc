@@ -10,6 +10,8 @@
  * the unique-pages-accessed count alongside; 64 KB wins.
  */
 
+#include <optional>
+
 #include "bench/benchutil.hh"
 #include "gpu/launch.hh"
 
@@ -31,20 +33,19 @@ struct RandomReadResult {
     uint64_t vcProbes = 0;
 };
 
-/** @p ra_pages > 0 pins a static window; 0 = policy decides.
+/** @p ra_pages is GpuFsParams::readAheadPages (unset = adaptive).
  *  @p cache_bytes shrinks the arena for the victim-tier section;
  *  @p victim_pages > 0 turns the host-RAM victim tier on. */
 RandomReadResult
 runRandomRead(uint64_t file_bytes, uint64_t page_size, unsigned blocks,
               unsigned reads_per_block, uint64_t read_size,
-              unsigned ra_pages, core::ReadAheadPolicy policy,
+              std::optional<unsigned> ra_pages,
               uint64_t cache_bytes = 2 * GiB, uint64_t victim_pages = 0)
 {
     core::GpuFsParams p;
     p.pageSize = page_size;
     p.cacheBytes = cache_bytes; // paper GPU: 6 GB; never the bottleneck
     p.readAheadPages = ra_pages;
-    p.readAheadPolicy = policy;
     p.storageBackend = gBackend;
     p.victimCachePages = victim_pages;
     core::GpufsSystem sys(1, p);
@@ -109,11 +110,10 @@ main(int argc, char **argv)
                 "adaptive_ms");
     for (uint64_t page : bench::pageSweep()) {
         RandomReadResult r =
-            runRandomRead(file_bytes, page, blocks, reads, read_size,
-                          0, core::ReadAheadPolicy::Static);
+            runRandomRead(file_bytes, page, blocks, reads, read_size, 0);
         RandomReadResult a =
             runRandomRead(file_bytes, page, blocks, reads, read_size,
-                          0, core::ReadAheadPolicy::Adaptive);
+                          std::nullopt);
         std::printf("%-10s %14llu %16.0f %16.0f %12.1f\n",
                     bench::sizeLabel(page).c_str(),
                     static_cast<unsigned long long>(r.uniquePages),
@@ -134,19 +134,17 @@ main(int argc, char **argv)
                 "ra_wasted", "effective_MB/s", "elapsed_ms");
     struct Cfg {
         const char *name;
-        unsigned ra;
-        core::ReadAheadPolicy policy;
+        std::optional<unsigned> ra;
     };
     const Cfg cfgs[] = {
-        {"static_0", 0, core::ReadAheadPolicy::Static},
-        {"static_4", 4, core::ReadAheadPolicy::Static},
-        {"static_16", 16, core::ReadAheadPolicy::Static},
-        {"adaptive", 0, core::ReadAheadPolicy::Adaptive},
+        {"static_0", 0},
+        {"static_4", 4},
+        {"static_16", 16},
+        {"adaptive", std::nullopt},
     };
     for (const Cfg &c : cfgs) {
         RandomReadResult r = runRandomRead(file_bytes, page, blocks,
-                                           reads, read_size, c.ra,
-                                           c.policy);
+                                           reads, read_size, c.ra);
         std::printf("%-10s %14llu %12llu %16.0f %12.1f\n", c.name,
                     static_cast<unsigned long long>(r.uniquePages),
                     static_cast<unsigned long long>(r.raWasted),
@@ -168,7 +166,7 @@ main(int argc, char **argv)
     for (uint64_t pages : {uint64_t(0), tier_pages}) {
         RandomReadResult r = runRandomRead(
             file_bytes, page, blocks, 4 * reads, read_size, 0,
-            core::ReadAheadPolicy::Static, small_arena, pages);
+            small_arena, pages);
         std::printf("%-10s %16.0f %12.1f %12.1f\n",
                     pages ? "on" : "off",
                     throughputMBps(r.bytesRead, r.elapsed),

@@ -50,7 +50,7 @@ runScan(uint64_t file_bytes, unsigned blocks, Time compute_per_chunk,
     // stays off: adaptive read-ahead (the default) gives the sync loop
     // most of the same overlap for free on this sequential scan —
     // bench/ablate_readahead measures that effect on its own.
-    p.readAheadPolicy = core::ReadAheadPolicy::Static;
+    p.readAheadPages = 0;
     core::GpufsSystem sys(1, p);
     bench::addZerosFile(sys.hostFs(), kPath, file_bytes);
     // Cold host cache: the interesting regime is fetch latency far

@@ -29,6 +29,7 @@
  */
 
 #include <cstdlib>
+#include <optional>
 
 #include "bench/benchutil.hh"
 #include "gpu/launch.hh"
@@ -67,29 +68,27 @@ snapshot(core::GpufsSystem &sys, RunResult &r)
 }
 
 core::GpuFsParams
-makeParams(unsigned static_pages, core::ReadAheadPolicy policy,
-           uint64_t total_pages)
+makeParams(std::optional<unsigned> read_ahead, uint64_t total_pages)
 {
     core::GpuFsParams p;
     p.pageSize = kPage;
     // Every page fits plus slack: the run measures RPC scaling, not
     // eviction pressure.
     p.cacheBytes = (total_pages + 64) * kPage;
-    p.readAheadPages = static_pages;
-    p.readAheadPolicy = policy;
+    p.readAheadPages = read_ahead;
     return p;
 }
 
 /** Shared scan: @p blocks blocks, block b streams region b of ONE
  *  file of blocks x @p pages_per_block pages. */
 RunResult
-runShared(unsigned static_pages, core::ReadAheadPolicy policy,
-          unsigned blocks, uint64_t pages_per_block)
+runShared(std::optional<unsigned> read_ahead, unsigned blocks,
+          uint64_t pages_per_block)
 {
     const uint64_t chunk = pages_per_block * kPage;
     const uint64_t file_bytes = blocks * chunk;
-    core::GpufsSystem sys(
-        1, makeParams(static_pages, policy, blocks * pages_per_block));
+    core::GpufsSystem sys(1,
+                          makeParams(read_ahead, blocks * pages_per_block));
     bench::addZerosFile(sys.hostFs(), "/data/shared", file_bytes);
     bench::warmHostCache(sys.hostFs(), "/data/shared");
 
@@ -117,12 +116,12 @@ runShared(unsigned static_pages, core::ReadAheadPolicy policy,
  *  streams its OWN file — one stream per file, the tracker's easy
  *  case. */
 RunResult
-runPrivate(unsigned static_pages, core::ReadAheadPolicy policy,
-           unsigned blocks, uint64_t pages_per_block)
+runPrivate(std::optional<unsigned> read_ahead, unsigned blocks,
+           uint64_t pages_per_block)
 {
     const uint64_t chunk = pages_per_block * kPage;
-    core::GpufsSystem sys(
-        1, makeParams(static_pages, policy, blocks * pages_per_block));
+    core::GpufsSystem sys(1,
+                          makeParams(read_ahead, blocks * pages_per_block));
     for (unsigned b = 0; b < blocks; ++b) {
         std::string path = "/data/priv" + std::to_string(b);
         bench::addZerosFile(sys.hostFs(), path, chunk);
@@ -204,14 +203,12 @@ main(int argc, char **argv)
                     "config", "rpcs", "host_reads", "coalesced",
                     "rings_supp", "ra_wasted", "streams/recycle",
                     "span_ms");
-        RunResult demand = runShared(0, core::ReadAheadPolicy::Static,
-                                     blocks, pages_per_block);
-        RunResult tuned = runShared(16, core::ReadAheadPolicy::Static,
-                                    blocks, pages_per_block);
-        RunResult adaptive = runShared(0, core::ReadAheadPolicy::Adaptive,
-                                       blocks, pages_per_block);
-        RunResult control = runPrivate(0, core::ReadAheadPolicy::Adaptive,
-                                       blocks, pages_per_block);
+        RunResult demand = runShared(0, blocks, pages_per_block);
+        RunResult tuned = runShared(16, blocks, pages_per_block);
+        RunResult adaptive =
+            runShared(std::nullopt, blocks, pages_per_block);
+        RunResult control =
+            runPrivate(std::nullopt, blocks, pages_per_block);
         printRow("demand_only", demand);
         printRow("static_16", tuned);
         printRow("adaptive", adaptive);

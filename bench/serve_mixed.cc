@@ -112,7 +112,6 @@ serveParams(bool fair, unsigned n_files, bool victim_tier = false)
     // burying every other tenant's misses behind prefetch backlog).
     // Point files are one page, so their read-ahead clips to nothing.
     p.readAheadPages = 1;
-    p.readAheadPolicy = core::ReadAheadPolicy::Static;
     // No table-capacity churn: the gates isolate FRAME quotas.
     p.maxOpenFiles = 2 * n_files + 16;
     p.victimCachePages = victim_tier ? kFrames / 2 : 0;

@@ -75,7 +75,6 @@ runSkewedReuse(storage::BackendKind kind, uint64_t hot_bytes,
     p.pageSize = page_size;
     p.cacheBytes = cache_bytes;
     p.readAheadPages = 0;   // pure demand: isolate the re-miss cost
-    p.readAheadPolicy = core::ReadAheadPolicy::Static;
     p.storageBackend = kind;
     p.evictPolicy = policy;
     p.victimCachePages = victim_pages;
@@ -124,7 +123,6 @@ runStreamScan(uint64_t file_bytes, uint64_t page_size,
     p.pageSize = page_size;
     p.cacheBytes = cache_bytes;
     p.readAheadPages = 4;
-    p.readAheadPolicy = core::ReadAheadPolicy::Static;
     p.victimCachePages = victim_pages;
     core::GpufsSystem sys(1, p);
     bench::addZerosFile(sys.hostFs(), kPath, file_bytes);

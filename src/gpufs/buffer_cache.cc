@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "base/logging.hh"
-#include "base/rng.hh"
 #include "gpufs/victim.hh"
 #include "sim/context.hh"
 
@@ -67,15 +66,26 @@ class PaperTieredPolicy : public EvictionPolicy
 };
 
 /**
- * Ablation: global LRU. Every round scans the whole arena for the
- * unpinned frame with the oldest access stamp and evicts it — exactly
- * the variable-work shape §4.2 rejects, since the scan runs on the
- * faulting application block's thread.
+ * Ablations that snapshot the whole arena and evict in sort-key order —
+ * exactly the variable-work shape §4.2 rejects, since the scan runs on
+ * the faulting application block's thread.
+ *
+ * Global LRU keys on the access stamp alone. 2Q-style scan resistance
+ * (@p two_q) evicts frames pinned at most once since they were claimed
+ * (probationary — a scan touches each page exactly once) before frames
+ * pinned again (protected — proven reuse), each set in access-stamp
+ * order. Under a victim tier 2Q is the interesting contender: it
+ * demotes scan pollution first, keeping the reused set in GPU memory.
  */
-class GlobalLruPolicy : public EvictionPolicy
+class ArenaScanPolicy : public EvictionPolicy
 {
   public:
-    const char *name() const override { return "global_lru"; }
+    explicit ArenaScanPolicy(bool two_q) : twoQ_(two_q) {}
+
+    const char *name() const override
+    {
+        return twoQ_ ? "two_q" : "global_lru";
+    }
 
     unsigned
     reclaim(const std::vector<CacheFile *> &files, FrameArena &arena,
@@ -86,72 +96,12 @@ class GlobalLruPolicy : public EvictionPolicy
             if (f->cache)
                 by_uid.emplace(f->cache->uid(), f);
         }
-        // Snapshot every evictable frame ordered by access stamp, then
+        // Snapshot every evictable frame ordered by the sort key, then
         // walk the order evicting those exact frames, skipping victims
         // that race away (pinned between the scan and the eviction
         // attempt) instead of aborting the pass — giving up while
         // evictable frames remain would surface as spurious NoSpace
         // failures in the caller.
-        struct Candidate {
-            uint64_t stamp;
-            uint32_t frame;
-            CacheFile *file;
-        };
-        std::vector<Candidate> order;
-        for (uint32_t fr = 0; fr < arena.numFrames(); ++fr) {
-            PFrame &pf = arena.frame(fr);
-            uint64_t uid = pf.fileUid.load(std::memory_order_acquire);
-            if (uid == 0)
-                continue;
-            auto *p = static_cast<FPage *>(
-                pf.owner.load(std::memory_order_acquire));
-            if (!p || p->refs.load(std::memory_order_relaxed) != 0)
-                continue;
-            auto it = by_uid.find(uid);
-            if (it == by_uid.end())
-                continue;
-            order.push_back(
-                {pf.lastAccess.load(std::memory_order_relaxed), fr,
-                 it->second});
-        }
-        std::sort(order.begin(), order.end(),
-                  [](const Candidate &a, const Candidate &b) {
-                      return a.stamp < b.stamp;
-                  });
-        unsigned freed = 0;
-        for (const Candidate &c : order) {
-            if (freed >= want)
-                break;
-            freed += evict(*c.file, true, 1, c.frame);
-        }
-        return freed;
-    }
-};
-
-/**
- * Ablation: 2Q-style scan resistance. Same whole-arena snapshot shape
- * as GlobalLruPolicy (the variable-work cost is the point of the
- * ablation), but frames pinned at most once since they were claimed
- * (probationary — a scan touches each page exactly once) are evicted
- * before frames pinned again (protected — proven reuse), each set in
- * access-stamp order. Under a victim tier this is the interesting
- * contender: it demotes scan pollution first, keeping the reused set
- * in GPU memory.
- */
-class TwoQPolicy : public EvictionPolicy
-{
-  public:
-    const char *name() const override { return "two_q"; }
-
-    unsigned
-    reclaim(const std::vector<CacheFile *> &files, FrameArena &arena,
-            unsigned want, const EvictFn &evict) override
-    {
-        std::unordered_map<uint64_t, CacheFile *> by_uid;
-        for (CacheFile *f : files) {
-            if (f->cache)
-                by_uid.emplace(f->cache->uid(), f);
-        }
         struct Candidate {
             uint64_t stamp;
             uint32_t pins;
@@ -177,10 +127,10 @@ class TwoQPolicy : public EvictionPolicy
                  it->second});
         }
         std::sort(order.begin(), order.end(),
-                  [](const Candidate &a, const Candidate &b) {
+                  [this](const Candidate &a, const Candidate &b) {
                       bool ap = a.pins <= 1, bp = b.pins <= 1;
-                      if (ap != bp)
-                          return ap;     // probationary first
+                      if (twoQ_ && ap != bp)
+                          return ap;     // 2Q: probationary first
                       return a.stamp < b.stamp;
                   });
         unsigned freed = 0;
@@ -191,45 +141,9 @@ class TwoQPolicy : public EvictionPolicy
         }
         return freed;
     }
-};
-
-/**
- * Ablation: uniform-random victim files, FIFO within the file. A
- * deterministic sweep backstop guarantees exhaustion still frees
- * frames (and writes dirty pages home) when the dice keep missing.
- */
-class RandomPolicy : public EvictionPolicy
-{
-  public:
-    const char *name() const override { return "random"; }
-
-    bool samplesAllFiles() const override { return true; }
-
-    unsigned
-    reclaim(const std::vector<CacheFile *> &files, FrameArena &,
-            unsigned want, const EvictFn &evict) override
-    {
-        unsigned freed = 0;
-        if (files.empty())
-            return freed;
-        unsigned attempts = static_cast<unsigned>(files.size()) * 2 + 8;
-        for (unsigned a = 0; a < attempts && freed < want; ++a) {
-            CacheFile *f = files[rng_.nextBelow(files.size())];
-            if (!f->cache)
-                continue;
-            freed += evict(*f, true, want - freed, kNoFrame);
-        }
-        for (CacheFile *f : files) {
-            if (freed >= want)
-                break;
-            if (f->cache)
-                freed += evict(*f, true, want - freed, kNoFrame);
-        }
-        return freed;
-    }
 
   private:
-    SplitMix64 rng_{0xE71C7E0Dull};
+    const bool twoQ_;
 };
 
 } // namespace
@@ -241,11 +155,9 @@ makeEvictionPolicy(EvictionPolicyKind kind)
       case EvictionPolicyKind::PaperTiered:
         return std::make_unique<PaperTieredPolicy>();
       case EvictionPolicyKind::GlobalLru:
-        return std::make_unique<GlobalLruPolicy>();
+        return std::make_unique<ArenaScanPolicy>(false);
       case EvictionPolicyKind::TwoQ:
-        return std::make_unique<TwoQPolicy>();
-      case EvictionPolicyKind::Random:
-        return std::make_unique<RandomPolicy>();
+        return std::make_unique<ArenaScanPolicy>(true);
     }
     gpufs_fatal("unknown eviction policy kind");
     return nullptr;
@@ -370,8 +282,7 @@ void
 BufferCache::attach(CacheFile &f)
 {
     PagingGuard lock(*this);
-    f.attachIdx = static_cast<unsigned>(attached_.size());
-    attached_.push_back(&f);
+    f.attachIdx = nextAttachIdx_++;
 }
 
 void
@@ -1228,8 +1139,6 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
         return freed;
     };
 
-    const std::vector<CacheFile *> &files =
-        policy_->samplesAllFiles() ? attached_ : live_;
     unsigned freed;
     if (tenant != kAnyTenant && arena_.tenantAtQuota(tenant)) {
         // The faulting tenant is at its frame quota: the arena may
@@ -1238,14 +1147,14 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
         // to make room this tenant is not entitled to. Run the policy
         // over only this tenant's files — eviction within quota.
         std::vector<CacheFile *> own;
-        own.reserve(files.size());
-        for (CacheFile *f : files) {
+        own.reserve(live_.size());
+        for (CacheFile *f : live_) {
             if (f->tenant.load(std::memory_order_relaxed) == tenant)
                 own.push_back(f);
         }
         freed = policy_->reclaim(own, arena_, want, evict);
     } else {
-        freed = policy_->reclaim(files, arena_, want, evict);
+        freed = policy_->reclaim(live_, arena_, want, evict);
     }
 
     // Closed files whose last dirty page just went home can release
@@ -1408,7 +1317,7 @@ BufferCache::pinPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
             });
         if (st == Status::NoSpace) {
             unsigned freed = reclaimFrames(
-                ctx, params_.reclaimBatch,
+                ctx, kReclaimBatch,
                 f.tenant.load(std::memory_order_relaxed));
             if (freed == 0)
                 return Status::NoSpace;
@@ -1648,21 +1557,18 @@ ReadAheadStreams::Decision
 BufferCache::planReadAhead(CacheFile &f, uint64_t stream_key,
                            uint64_t run_first, uint64_t run_last)
 {
+    // Ceiling of the adaptive ramp, pages (2 ReadPages batches).
+    constexpr unsigned kMaxReadAheadPages = 32;
     ReadAheadStreams::Decision d;
-    if (params_.readAheadPages > 0) {
-        // Static override: the fixed window on every miss, no tracker
-        // involvement (existing sweeps keep their exact RPC patterns).
-        // The batch publishes with kNoStream — feedback then updates
-        // the file's aggregates only, so conservation holds for the
-        // static policy too.
-        d.window = params_.readAheadPages;
-        d.stride = 1;
+    if (!adaptiveReadAhead()) {
+        // Static window (0 = read-ahead off) on every miss, no tracker
+        // involvement. The batch publishes with kNoStream — feedback
+        // then updates the file's aggregates only, so conservation
+        // holds for the static policy too.
+        d.window = *params_.readAheadPages;
         return d;
     }
-    if (!adaptiveReadAhead())
-        return d;       // read-ahead off: window 0
-    d = f.ra.onMiss(stream_key, run_first, run_last,
-                    params_.maxReadAheadPages);
+    d = f.ra.onMiss(stream_key, run_first, run_last, kMaxReadAheadPages);
     if (d.ghost)
         cntRaGhostHits.inc();
     if (d.recycled)

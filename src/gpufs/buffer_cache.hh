@@ -200,18 +200,12 @@ class EvictionPolicy
 
     /**
      * Free up to @p want frames from @p files: the attached files with
-     * a live cache, in attach order (every attached file, cacheless
-     * ones included, when samplesAllFiles()); stable while the paging
-     * lock is held. @return frames freed.
+     * a live cache, in attach order; stable while the paging lock is
+     * held. @return frames freed.
      */
     virtual unsigned reclaim(const std::vector<CacheFile *> &files,
                              FrameArena &arena, unsigned want,
                              const EvictFn &evict) = 0;
-
-    /** True for a policy that draws victims uniformly over every
-     *  attached file, so that a draw landing on a cacheless file is
-     *  one of its wasted attempts. */
-    virtual bool samplesAllFiles() const { return false; }
 };
 
 /** Instantiate the policy selected by GpuFsParams::evictPolicy. */
@@ -457,6 +451,10 @@ class BufferCache
     /** "No tenant" sentinel for reclaimFrames: global reclaim. */
     static constexpr uint8_t kAnyTenant = 0xFF;
 
+    /** Frames reclaimed per paging pass (batching amortizes policy
+     *  work). */
+    static constexpr uint32_t kReclaimBatch = 16;
+
     /**
      * Free at least @p want frames by running the eviction policy over
      * the attached files. Runs on the calling block's thread. When
@@ -572,34 +570,29 @@ class BufferCache
 
     // ---- read-ahead policy ----
 
-    /** True when the adaptive tracker drives the window: Adaptive
-     *  policy with no static override (readAheadPages == 0). */
-    bool
-    adaptiveReadAhead() const
-    {
-        return params_.readAheadPages == 0 &&
-            params_.readAheadPolicy == ReadAheadPolicy::Adaptive;
-    }
+    /** True when the adaptive tracker drives the window: no static
+     *  window set (readAheadPages unset). */
+    bool adaptiveReadAhead() const { return !params_.readAheadPages; }
 
     /** True when any read-ahead can be issued at all (miss paths gate
      *  their readAheadFrom / submitReadAhead calls on this). */
     bool
     readAheadEnabled() const
     {
-        return params_.readAheadPages > 0 || adaptiveReadAhead();
+        return adaptiveReadAhead() || *params_.readAheadPages > 0;
     }
 
     /** Frames split-phase submission (and read-ahead) must leave free
      *  or reclaimable for synchronous pins: claims are unreclaimable
      *  until collected, so a claim storm must not exhaust the arena.
-     *  Scales down for small arenas where reclaimBatch would forbid
+     *  Scales down for small arenas where kReclaimBatch would forbid
      *  claiming at all. Public: benches/tests assert the speculative
      *  occupancy cap against it. */
     uint32_t
     claimReserve() const
     {
         return std::max<uint32_t>(
-            1, std::min<uint32_t>(params_.reclaimBatch,
+            1, std::min<uint32_t>(kReclaimBatch,
                                   arena_.numFrames() / 4));
     }
 
@@ -631,7 +624,7 @@ class BufferCache
     /** Machine-wide host-RAM victim tier; null = demotion off. */
     VictimCache *victim_ = nullptr;
 
-    /** Guards the attached set and the two lists below and serializes
+    /** Guards the attach counter and the two lists below and serializes
      *  reclamation passes; also excludes FileCache creation/destruction
      *  against a concurrent reclaim walking the same entries. Callers
      *  holding the API layer's table lock may take this after it, never
@@ -639,7 +632,8 @@ class BufferCache
     std::mutex pagingMtx;
     /** Thread currently inside pagingMtx (lock-order assertions). */
     std::atomic<std::thread::id> pagingOwner_{};
-    std::vector<CacheFile *> attached_;
+    /** Attach-order position the next attach() hands out. */
+    unsigned nextAttachIdx_ = 0;
     /** Attached files with a live cache, in attach order: what the
      *  eviction policies walk (setupFile adds, destroyFile removes). */
     std::vector<CacheFile *> live_;

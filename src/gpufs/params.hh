@@ -7,6 +7,7 @@
 #define GPUFS_GPUFS_PARAMS_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "base/units.hh"
 #include "storage/kind.hh"
@@ -29,16 +30,14 @@ constexpr unsigned kMaxTenants = 4;
  *
  * PaperTiered is §4.2's constant-work order: closed clean files first
  * (no GPU-CPU communication), then open read-only files, then writable
- * files as a last resort. GlobalLru and Random are ablation policies
- * wired into bench/ablate_eviction: LRU scans every frame for the
- * globally oldest access stamp (the variable-work shape the paper
- * rejects because paging hijacks application threads), Random picks
- * victim files uniformly.
+ * files as a last resort. GlobalLru is an ablation policy wired into
+ * bench/ablate_eviction: it scans every frame for the globally oldest
+ * access stamp (the variable-work shape the paper rejects because
+ * paging hijacks application threads).
  */
 enum class EvictionPolicyKind : uint8_t {
     PaperTiered,
     GlobalLru,
-    Random,
     /** 2Q-style: frames pinned once (probationary — a scan touches a
      *  page exactly once) are evicted before frames pinned repeatedly
      *  (protected), each set in global LRU order. Same full-scan work
@@ -60,26 +59,6 @@ enum class EvictionPolicyKind : uint8_t {
  * channel, falling back to the normal host path when the owner does
  * not hold the page.
  */
-/**
- * Read-ahead policies (the window BufferCache prefetches past a miss).
- *
- * Static is the paper's shape: a fixed `readAheadPages` window on
- * every miss (0 = off, the prototype's behavior). Adaptive scales the
- * window per file from the observed access pattern: a per-CacheFile
- * tracker (readahead.hh) ramps the window multiplicatively on
- * confirmed sequential (or small-stride) runs up to maxReadAheadPages,
- * collapses it to zero on random access, and throttles files whose
- * prefetched pages keep getting evicted unused (with ghost-hit
- * detection so a wrongly-throttled window re-grows). Sequential scans
- * keep Figure 4's batched-RPC win; random workloads (Figure 6) pay
- * nothing — bench/ablate_readahead sweeps both against the static
- * windows and fails if Adaptive ever loses by more than 5%.
- */
-enum class ReadAheadPolicy : uint8_t {
-    Static,
-    Adaptive,
-};
-
 enum class ShardPolicy : uint8_t {
     /** Paper baseline: every GPU caches privately, no peer traffic.
      *  Also the effective policy whenever the system has one GPU. */
@@ -117,24 +96,24 @@ struct GpuFsParams {
     EvictionPolicyKind evictPolicy = EvictionPolicyKind::PaperTiered;
 
     /**
-     * STATIC read-ahead window: pages prefetched past every
-     * buffer-cache miss. Runs of missing pages are coalesced into
-     * batched ReadPages RPCs of up to rpc::kMaxBatchPages each, so the
-     * per-request CPU and DMA-setup overheads are paid once per run
-     * instead of per page. Setting this nonzero pins the policy to
-     * Static regardless of readAheadPolicy (existing sweeps and tests
-     * keep their exact RPC patterns); 0 defers to readAheadPolicy.
+     * Read-ahead window: pages prefetched past a buffer-cache miss.
+     * Runs of missing pages are coalesced into batched ReadPages RPCs
+     * of up to rpc::kMaxBatchPages each, so the per-request CPU and
+     * DMA-setup overheads are paid once per run instead of per page.
+     *
+     * Unset (the default) is adaptive: a per-CacheFile tracker
+     * (readahead.hh) ramps the window multiplicatively on confirmed
+     * sequential (or small-stride) runs up to 32 pages (see
+     * BufferCache::planReadAhead), collapses it to zero on random
+     * access, and throttles files whose prefetched pages keep getting
+     * evicted unused (with ghost-hit detection so a wrongly-throttled
+     * window re-grows). N is the paper's static shape, a fixed window
+     * of N pages on every miss; 0 turns read-ahead off (the
+     * prototype's behavior). bench/ablate_readahead sweeps the static
+     * windows against adaptive and fails if adaptive ever loses by
+     * more than 5%.
      */
-    unsigned readAheadPages = 0;
-
-    /** Window policy when readAheadPages is 0 (see ReadAheadPolicy).
-     *  Adaptive is the default: off for random access, ramping to
-     *  maxReadAheadPages on confirmed sequential runs. Static + 0
-     *  disables read-ahead entirely (the seed behavior). */
-    ReadAheadPolicy readAheadPolicy = ReadAheadPolicy::Adaptive;
-
-    /** Ceiling of the Adaptive ramp, pages (2 ReadPages batches). */
-    unsigned maxReadAheadPages = 32;
+    std::optional<unsigned> readAheadPages;
 
     /**
      * Extension (off by default): the diff-and-merge protocol of §3.1
@@ -149,9 +128,6 @@ struct GpuFsParams {
      * admits concurrent diff-merge writers.
      */
     bool enableDiffMerge = false;
-
-    /** Frames reclaimed per paging pass (batching amortizes policy work). */
-    unsigned reclaimBatch = 16;
 
     /**
      * Batched write-back (the ReadPages symmetry, on by default):

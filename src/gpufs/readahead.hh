@@ -1,7 +1,7 @@
 /**
  * @file
  * Adaptive per-file read-ahead: the access-pattern tracker behind
- * GpuFsParams::ReadAheadPolicy::Adaptive.
+ * the default (unset) GpuFsParams::readAheadPages.
  *
  * The paper hand-tunes a single static `readAheadPages` constant — the
  * window that makes Figure 4's sequential scan fast is exactly the one
@@ -13,8 +13,8 @@
  *  - a last-offset / run-length sequential detector with stride
  *    recognition (any stride in [-8, 8] except 0, page units) feeds
  *    a window that ramps multiplicatively on confirmed runs (2, 4,
- *    8, ... up to GpuFsParams::maxReadAheadPages) and collapses to
- *    zero the moment the pattern breaks;
+ *    8, ... up to kMaxReadAheadPages in BufferCache::planReadAhead)
+ *    and collapses to zero the moment the pattern breaks;
  *  - prefetch-feedback accounting closes the loop: every page a
  *    read-ahead batch publishes is tagged speculative
  *    (PFrame::speculative); the first application pin promotes it
@@ -93,7 +93,8 @@ class ReadAheadTracker
      * Record a demand miss covering pages [first_idx, last_idx] (a
      * single page for the per-page path, the whole run for vectored
      * demand batches) and decide the prefetch window to issue from
-     * @p last_idx. @p max_window is GpuFsParams::maxReadAheadPages.
+     * @p last_idx. @p max_window is kMaxReadAheadPages in
+     * BufferCache::planReadAhead.
      */
     Decision
     onMiss(uint64_t first_idx, uint64_t last_idx, unsigned max_window)

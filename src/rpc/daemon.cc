@@ -1,7 +1,6 @@
 #include "rpc/daemon.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <string>
 
@@ -57,13 +56,6 @@ CpuDaemon::setTenantWeights(const unsigned *weights, unsigned n)
 }
 
 void
-CpuDaemon::setSweepLinger(Time deadline)
-{
-    gpufs_assert(!running.load(), "setSweepLinger after start");
-    linger_ = deadline;
-}
-
-void
 CpuDaemon::setStorageBackend(storage::BackendKind kind)
 {
     gpufs_assert(!running.load(), "setStorageBackend after start");
@@ -86,12 +78,6 @@ namespace {
  *  crashed — a dead backing store is not transient. */
 constexpr unsigned kMaxIoRetries = 3;
 constexpr Time kIoRetryBackoff = 20000;  // 20us, doubling per attempt
-
-/** Aggregation linger's wall-clock safety bound: ~200ms of 50us naps
- *  waiting for a census-visible straggler to publish. Generous — a
- *  mid-fill block publishes in microseconds — but finite, so a block
- *  that claimed a slot and stalled can never wedge parked requests. */
-constexpr unsigned kLingerMaxSpins = 4000;
 
 /**
  * O_GWRONCE: the pristine copy is implicitly all zeros, so the
@@ -426,30 +412,6 @@ CpuDaemon::loop()
                 serviceSweep(i, batch, n);
                 any = true;
             }
-            // Aggregation linger: a sweep parked an under-filled
-            // ReadPages group because the occupancy census showed more
-            // of the burst still arriving. Hold here while that
-            // evidence persists (bounded spin — a block mid-fill
-            // publishes in microseconds), merge the stragglers when
-            // they land, and flush the parked slots solo once the
-            // census empties or the bound expires.
-            unsigned spins = 0;
-            while (!ports[i]->parked.empty()) {
-                any = true;
-                if ((n = ports[i]->queue->pollAll(batch, kQueueSlots))
-                    > 0) {
-                    serviceSweep(i, batch, n);
-                    continue;
-                }
-                if (ports[i]->queue->occupiedHint() == 0 ||
-                    ++spins > kLingerMaxSpins ||
-                    !running.load(std::memory_order_acquire)) {
-                    serviceSweep(i, nullptr, 0);
-                    break;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(50));
-            }
         }
         if (!any) {
             // Nothing ready: park on the doorbell (simulated poll).
@@ -459,20 +421,18 @@ CpuDaemon::loop()
             seen = doorbell.load(std::memory_order_acquire);
         }
     }
-    // Drain: flush anything still parked (belt and braces — the
-    // linger spin flushes on the running edge), then fail requests
-    // that raced with shutdown so no GPU block waits forever.
-    for (unsigned i = 0; i < ports.size(); ++i) {
-        if (!ports[i]->parked.empty())
-            serviceSweep(i, nullptr, 0);
-    }
+    // Drain: fail requests that raced with shutdown so no GPU block
+    // waits forever.
     for (auto &port : ports) {
-        RpcSlot *slot;
-        while ((slot = port->queue->poll()) != nullptr) {
-            RpcResponse resp;
-            resp.status = Status::IoError;
-            resp.done = slot->req.issueTime;
-            RpcQueue::complete(*slot, resp);
+        RpcSlot *batch[kQueueSlots];
+        unsigned n;
+        while ((n = port->queue->pollAll(batch, kQueueSlots)) > 0) {
+            for (unsigned i = 0; i < n; ++i) {
+                RpcResponse resp;
+                resp.status = Status::IoError;
+                resp.done = batch[i]->req.issueTime;
+                RpcQueue::complete(*batch[i], resp);
+            }
         }
     }
 }
@@ -481,19 +441,7 @@ void
 CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
 {
     GpuPort &port = *ports[port_idx];
-    // Merge slots the aggregation linger parked last sweep ahead of
-    // this sweep's claims; a merged slot is never parked twice.
-    RpcSlot *all[2 * kQueueSlots];
-    const bool had_parked = !port.parked.empty();
-    unsigned total = 0;
-    for (RpcSlot *s : port.parked)
-        all[total++] = s;
-    port.parked.clear();
-    for (unsigned i = 0; i < n; ++i)
-        all[total++] = batch[i];
-    if (total == 0)
-        return;
-    std::sort(all, all + total,
+    std::sort(batch, batch + n,
               [](const RpcSlot *a, const RpcSlot *b) {
                   return a->req.issueTime < b->req.issueTime;
               });
@@ -501,33 +449,33 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
     // sweep, re-emit in weighted deficit-round-robin order so a scan
     // tenant's deep batches reserve the serialized CPU timeline AFTER
     // the point tenants' slots instead of ahead of them.
-    drrOrder(port, all, total);
+    drrOrder(port, batch, n);
     // Group commit: append every write-op slot's journal txn and make
     // them durable with ONE fsync before any handler's in-place write
     // runs (see prejournalSweep for the WAL ordering argument).
-    prejournalSweep(port_idx, all, total);
+    prejournalSweep(port_idx, batch, n);
     // Cross-block RPC aggregation: the burst a coalesced doorbell
     // delivered as one sweep usually carries many blocks' ReadPages
     // on the SAME file (a shared scan) — serve each same-file set with
     // one servePages call (one gathered storage read) instead of k.
     // Groups are serviced at their first member's place in the
     // emission order; everything else keeps the plain per-slot path.
-    bool taken[2 * kQueueSlots] = {};
-    for (unsigned s = 0; s < total; ++s) {
+    bool taken[kQueueSlots] = {};
+    for (unsigned s = 0; s < n; ++s) {
         if (taken[s])
             continue;
-        RpcSlot *group[2 * kQueueSlots];
+        RpcSlot *group[kQueueSlots];
         unsigned k = 0;
-        const RpcRequest &req = all[s]->req;
+        const RpcRequest &req = batch[s]->req;
         auto groupable = [&](const RpcRequest &r) {
             return r.op == RpcOp::ReadPages && r.hostFd == req.hostFd &&
                 r.pageCount > 0 && r.pageCount <= kMaxBatchPages;
         };
         if (groupable(req)) {
-            group[k++] = all[s];
-            for (unsigned t = s + 1; t < total; ++t) {
-                if (!taken[t] && groupable(all[t]->req)) {
-                    group[k++] = all[t];
+            group[k++] = batch[s];
+            for (unsigned t = s + 1; t < n; ++t) {
+                if (!taken[t] && groupable(batch[t]->req)) {
+                    group[k++] = batch[t];
                     taken[t] = true;
                 }
             }
@@ -538,7 +486,7 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
             // request has crossed the queue — k requests, ONE
             // rpcCpuOverhead instead of k.
             auto &sim = port.dev->simContext();
-            const RpcRequest *reqs[2 * kQueueSlots];
+            const RpcRequest *reqs[kQueueSlots];
             Time ready = 0;
             for (unsigned m = 0; m < k; ++m) {
                 reqs[m] = &group[m]->req;
@@ -565,16 +513,8 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
                 RpcQueue::complete(*group[m], resps[m]);
             }
             requestsServed.inc(k);
-        } else if (k == 1 && linger_ != 0 && !had_parked &&
-                   port.queue->occupiedHint() > 0) {
-            // Under-filled group with the burst visibly still arriving
-            // (slots Filling/Ready in the census): park it for one
-            // extra sweep instead of issuing a lone host read — the
-            // loop's linger spin merges it with the stragglers, or
-            // flushes it solo at the (virtual-deadline-sized) bound.
-            port.parked.push_back(all[s]);
         } else {
-            auto pj = prejournalDone_.find(all[s]);
+            auto pj = prejournalDone_.find(batch[s]);
             if (pj != prejournalDone_.end()) {
                 slotPrejournaled_ = true;
                 slotPrejournalTime_ = pj->second;
@@ -583,7 +523,7 @@ CpuDaemon::serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n)
             RpcResponse resp = handle(port_idx, req);
             slotPrejournaled_ = false;
             tenantRpcs[req.tenant % core::kMaxTenants]->inc();
-            RpcQueue::complete(*all[s], resp);
+            RpcQueue::complete(*batch[s], resp);
             requestsServed.inc();
         }
     }
@@ -794,8 +734,7 @@ CpuDaemon::chargePcie(gpu::GpuDevice &dev, PcieHop hop, uint64_t bytes,
     // Staging <-> GPU: one DMA reservation on this GPU's PCIe channel
     // for the direction. Functionally the host I/O already moved the
     // bytes (one copy in simulation).
-    auto &sim = dev.simContext();
-    const auto &p = sim.params;
+    const auto &p = dev.simContext().params;
     const bool h2d = hop != PcieHop::GpuToStorage;
     (h2d ? bytesToGpu : bytesFromGpu).inc(bytes);
     // Zero-copy backends DMA storage bytes straight between storage
@@ -808,10 +747,7 @@ CpuDaemon::chargePcie(gpu::GpuDevice &dev, PcieHop hop, uint64_t bytes,
     }
     Time dur = p.dmaSetup
         + transferTime(bytes, h2d ? p.pcieBwH2DMBps : p.pcieBwD2HMBps);
-    sim::Resource &channel = p.serializeDmaWithIo ? sim.cpuIo
-        : h2d                                     ? dev.pcieH2D()
-                                                  : dev.pcieD2H();
-    return channel.reserve(ready, dur).end;
+    return (h2d ? dev.pcieH2D() : dev.pcieD2H()).reserve(ready, dur).end;
 }
 
 PeerPageSource *

@@ -122,17 +122,6 @@ class CpuDaemon
      */
     void setTenantWeights(const unsigned *weights, unsigned n);
 
-    /**
-     * Serving tier: let an under-filled ReadPages aggregation group
-     * (a lone same-file request in a sweep that the occupancy census
-     * says is part of a still-arriving burst) linger parked for up to
-     * one extra sweep instead of issuing its own host read, bounded by
-     * @p deadline of virtual time (0 = off, the default — exact-count
-     * aggregation tests rely on one-sweep semantics). Must be called
-     * before start().
-     */
-    void setSweepLinger(Time deadline);
-
     StatSet &stats() { return stats_; }
     hostfs::HostFs &hostFs() { return fs; }
     consistency::ConsistencyMgr &consistencyMgr() { return consistency; }
@@ -157,10 +146,6 @@ class CpuDaemon
          *  idle tenants never bank unbounded credit. Daemon thread
          *  only. */
         uint64_t drrDeficit[core::kMaxTenants] = {};
-        /** Aggregation linger: slots parked (claimed, unserviced) at
-         *  the end of a sweep, merged into the next one. Daemon
-         *  thread only. */
-        std::vector<RpcSlot *> parked;
     };
 
     hostfs::HostFs &fs;
@@ -236,11 +221,9 @@ class CpuDaemon
     /** Host-RAM victim tier (null = off); owned by GpufsSystem. */
     core::VictimCache *victim_ = nullptr;
 
-    /** Serving tier: DRR weights (all-zero = scheduling off) and the
-     *  aggregation-linger bound (0 = off). */
+    /** Serving tier: DRR weights (all-zero = scheduling off). */
     unsigned tenantWeight_[core::kMaxTenants] = {};
     bool drr_ = false;
-    Time linger_ = 0;
 
     void loop();
     RpcResponse handle(unsigned port_idx, const RpcRequest &req);
@@ -249,8 +232,8 @@ class CpuDaemon
      * Service one pollAll sweep of @p port_idx in issue-time order,
      * serving different slots' concurrent ReadPages on the same host
      * file with one servePages call (cross-block RPC aggregation);
-     * everything else routes through handle(). Completes every slot
-     * and counts requestsServed.
+     * everything else routes through handle(). Reorders @p batch in
+     * place, completes every slot and counts requestsServed.
      */
     void serviceSweep(unsigned port_idx, RpcSlot **batch, unsigned n);
 

@@ -107,41 +107,6 @@ class RpcQueue
     }
 
     /**
-     * Two-step submission, step 1: claim a slot and leave it in
-     * kSlotFilling — invisible to the daemon — until publish(). Tests
-     * use the pair to stage a slot the aggregation linger can census
-     * (occupiedHint) before its request is visible; nullptr when every
-     * slot is in flight.
-     */
-    RpcSlot *beginFill() { return tryAllocate(); }
-
-    /** Two-step submission, step 2: publish a beginFill() slot. The
-     *  slot then behaves exactly like a trySubmit() one (collect it). */
-    void
-    publish(RpcSlot *slot, const RpcRequest &req)
-    {
-        slot->req = req;
-        slot->state.store(kSlotReady, std::memory_order_release);
-        ringDoorbell();
-    }
-
-    /** Slots a GPU block currently owns on the submission side —
-     *  Filling (being written) or Ready (published, unclaimed). The
-     *  daemon's aggregation linger reads this as "more of the burst is
-     *  still arriving"; racy by nature, advisory only. */
-    unsigned
-    occupiedHint() const
-    {
-        unsigned n = 0;
-        for (unsigned i = 0; i < kQueueSlots; ++i) {
-            uint32_t s = slots[i].state.load(std::memory_order_acquire);
-            if (s == kSlotFilling || s == kSlotReady)
-                ++n;
-        }
-        return n;
-    }
-
-    /**
      * Collect a submitted slot: wait for the daemon's completion,
      * free the slot, return the response by value.
      */
@@ -204,24 +169,6 @@ class RpcQueue
     doorbellRingsSuppressed() const
     {
         return ringsSuppressed_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Daemon side: scan for a ready slot and claim it.
-     * @return the claimed slot, or nullptr if none ready.
-     */
-    RpcSlot *
-    poll()
-    {
-        for (unsigned i = 0; i < kQueueSlots; ++i) {
-            uint32_t expect = kSlotReady;
-            if (slots[i].state.compare_exchange_strong(
-                    expect, kSlotBusy, std::memory_order_acq_rel)) {
-                readyPending_.fetch_sub(1, std::memory_order_acq_rel);
-                return &slots[i];
-            }
-        }
-        return nullptr;
     }
 
     /**

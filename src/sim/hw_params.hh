@@ -158,14 +158,6 @@ struct HwParams {
     /** When false, host file I/O (page cache + disk) is charged zero. */
     bool chargeHostIo = true;
 
-    /**
-     * Ablation (bench/ablate_rpc_channels): when true, DMA time is
-     * charged on the daemon's serialized CPU path instead of the
-     * independent PCIe channels — removing the overlap of host file
-     * I/O with DMA that the paper's asynchronous channels buy (§4.3).
-     */
-    bool serializeDmaWithIo = false;
-
     /** Resident blocks per GPU ("wave" width). */
     unsigned waveSlots() const { return mpCount * blocksPerMp; }
 };

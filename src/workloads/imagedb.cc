@@ -49,7 +49,6 @@ addImageDb(hostfs::HostFs &fs, const ImageDbSpec &spec, uint64_t query_seed)
     auto planted = std::make_shared<std::map<uint32_t, uint32_t>>(
         spec.planted);
     uint64_t db_seed = spec.seed;
-    uint32_t dim = spec.dim;
     uint64_t image_bytes = spec.imageBytes();
 
     auto gen = [=](uint64_t offset, uint64_t len, uint8_t *dst) {

@@ -15,13 +15,12 @@ namespace {
 
 std::unique_ptr<GpufsSystem>
 makeSystem(uint64_t page_size = 16 * KiB, uint64_t cache_bytes = 16 * MiB,
-           unsigned max_inflight = 64, unsigned read_ahead = 0)
+           unsigned max_inflight = 64)
 {
     GpuFsParams p;
     p.pageSize = page_size;
     p.cacheBytes = cache_bytes;
     p.maxInflightIo = max_inflight;
-    p.readAheadPages = read_ahead;
     return std::make_unique<GpufsSystem>(1, p);
 }
 
@@ -280,7 +279,7 @@ TEST(AsyncIoTest, DoubleBufferOverlapsComputeWithFetch)
         // Isolate the async core's overlap: adaptive read-ahead (the
         // default) would hide the sync loop's fetches too and erase
         // the contrast this test pins (readahead_test covers that).
-        p.readAheadPolicy = ReadAheadPolicy::Static;
+        p.readAheadPages = 0;
         GpufsSystem sys(1, p);
         test::addRamp(sys.hostFs(), "/stream", kChunks * kChunk);
         auto ctx = test::makeBlock(sys.device(0));

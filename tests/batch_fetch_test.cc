@@ -21,11 +21,10 @@ makeSystem(unsigned read_ahead_pages, uint64_t page_size = 16 * KiB,
     GpuFsParams p;
     p.pageSize = page_size;
     p.cacheBytes = cache_bytes;
-    p.readAheadPages = read_ahead_pages;
     // These tests pin the STATIC window's exact RPC pattern; the
     // read_ahead_pages=0 "plain" baseline must stay prefetch-free
     // (adaptive, the default policy, would coalesce it too).
-    p.readAheadPolicy = ReadAheadPolicy::Static;
+    p.readAheadPages = read_ahead_pages;
     return std::make_unique<GpufsSystem>(1, p);
 }
 

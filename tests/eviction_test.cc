@@ -170,15 +170,17 @@ TEST_F(EvictionTest, GlobalLruEvictsOldestAccessedPageFirst)
     EXPECT_TRUE(pageResident(f, 3));
 }
 
+/** Every EvictionPolicyKind value. */
+constexpr EvictionPolicyKind kEveryPolicy[] = {
+    EvictionPolicyKind::PaperTiered,
+    EvictionPolicyKind::GlobalLru,
+    EvictionPolicyKind::TwoQ,
+};
+
 TEST_F(EvictionTest, AllPoliciesReclaimUnderExhaustionWithoutLosingDirtyBytes)
 {
-    const EvictionPolicyKind kinds[] = {
-        EvictionPolicyKind::PaperTiered,
-        EvictionPolicyKind::GlobalLru,
-        EvictionPolicyKind::Random,
-    };
     int file_no = 0;
-    for (EvictionPolicyKind kind : kinds) {
+    for (EvictionPolicyKind kind : kEveryPolicy) {
         SCOPED_TRACE(static_cast<int>(kind));
         auto bc = makeCache(kind, 4);
         std::string path = "/dirty" + std::to_string(file_no++);
@@ -210,13 +212,8 @@ TEST_F(EvictionTest, AllPoliciesReclaimUnderExhaustionWithoutLosingDirtyBytes)
 
 TEST_F(EvictionTest, PinnedPagesSurviveEveryPolicy)
 {
-    const EvictionPolicyKind kinds[] = {
-        EvictionPolicyKind::PaperTiered,
-        EvictionPolicyKind::GlobalLru,
-        EvictionPolicyKind::Random,
-    };
     int file_no = 0;
-    for (EvictionPolicyKind kind : kinds) {
+    for (EvictionPolicyKind kind : kEveryPolicy) {
         SCOPED_TRACE(static_cast<int>(kind));
         auto bc = makeCache(kind, 4);
         std::string path = "/pin" + std::to_string(file_no++);

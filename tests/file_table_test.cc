@@ -376,7 +376,6 @@ struct PinnedTrace {
         p.victimCachePages = 64;
         // No read-ahead: a prefetch RPC in flight beside a demand fetch
         // lets the daemon's sweep timing move virtual time.
-        p.readAheadPolicy = ReadAheadPolicy::Static;
         p.readAheadPages = 0;
         sys = std::make_unique<GpufsSystem>(1, p);
         for (unsigned f = 0; f < kFiles; ++f)

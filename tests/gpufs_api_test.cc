@@ -456,7 +456,6 @@ TEST(GmmapPressure, EveryMapSucceedsThroughASmallArena)
     p.pageSize = kPage;
     p.cacheBytes = 32 * kPage;
     p.readAheadPages = 0;
-    p.readAheadPolicy = ReadAheadPolicy::Static;
     p.storageBackend = storage::BackendKind::Direct;
     p.victimCachePages = 2 * kFileBytes / kPage;
     GpufsSystem sys(1, p);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "gpufs/readahead.hh"
@@ -20,7 +21,7 @@ namespace gpufs {
 namespace core {
 namespace {
 
-constexpr unsigned kMaxWin = 32;    // GpuFsParams::maxReadAheadPages
+constexpr unsigned kMaxWin = 32;    // BufferCache::planReadAhead's ceiling
 
 // ---------------------------------------------------------------------
 // Tracker state machine (pure unit tests).
@@ -174,7 +175,7 @@ adaptiveSystem(uint64_t cache_bytes = 16 * MiB)
     GpuFsParams p;
     p.pageSize = 16 * KiB;
     p.cacheBytes = cache_bytes;
-    // Defaults: readAheadPages = 0, readAheadPolicy = Adaptive.
+    // Default: readAheadPages unset, i.e. adaptive.
     return std::make_unique<GpufsSystem>(1, p);
 }
 
@@ -389,15 +390,14 @@ struct ScanCounts {
 };
 
 ScanCounts
-scan256(unsigned static_ra, ReadAheadPolicy policy)
+scan256(std::optional<unsigned> read_ahead)
 {
     constexpr uint64_t kPage = 16 * KiB;
     constexpr uint64_t kPages = 256;
     GpuFsParams p;
     p.pageSize = kPage;
     p.cacheBytes = (kPages + 64) * kPage;
-    p.readAheadPages = static_ra;
-    p.readAheadPolicy = policy;
+    p.readAheadPages = read_ahead;
     GpufsSystem sys(1, p);
     test::addRamp(sys.hostFs(), "/s256", kPages * kPage);
     auto ctx = test::makeBlock(sys.device(0));
@@ -423,19 +423,19 @@ TEST(ReadAheadE2eTest, AdaptiveMatchesTunedStaticOn256PageScan)
     // then every 33 pages) — 13 ReadPage RPCs; windows 2,4,8,16 are
     // one ReadPages batch each, the seven 32-page windows two batches
     // each (kMaxBatchPages=16): 18 batches. 31 RPCs total.
-    ScanCounts adaptive = scan256(0, ReadAheadPolicy::Adaptive);
+    ScanCounts adaptive = scan256(std::nullopt);
     EXPECT_EQ(13u, adaptive.readRpcs);
     EXPECT_EQ(18u, adaptive.batchRpcs);
 
     // The hand-tuned static window (16, the best of fig4's sweep)
     // costs 16 demand + 15 batch = the same 31 RPCs — and pays them
     // on RANDOM workloads too, which adaptive does not.
-    ScanCounts tuned = scan256(16, ReadAheadPolicy::Static);
+    ScanCounts tuned = scan256(16);
     EXPECT_EQ(31u, tuned.total());
     EXPECT_LE(adaptive.total(), tuned.total());
 
     // Unassisted demand paging for perspective: one RPC per page.
-    ScanCounts off = scan256(0, ReadAheadPolicy::Static);
+    ScanCounts off = scan256(0);
     EXPECT_EQ(256u, off.readRpcs);
     EXPECT_EQ(0u, off.batchRpcs);
 }

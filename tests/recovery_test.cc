@@ -40,7 +40,7 @@ class RecoveryTest : public ::testing::Test
         p.cacheBytes = 16 * MiB;
         // Pin read-ahead off so injected read faults are consumed by
         // the demand fetches the test issues, not by speculation.
-        p.readAheadPolicy = ReadAheadPolicy::Static;
+        p.readAheadPages = 0;
         p.journalWriteback = journal;
         return p;
     }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -504,79 +503,6 @@ TEST(RpcAggregation, CrossSlotReadPagesShareOneHostRead)
     EXPECT_EQ(1u, daemon.stats().counter("host_read_calls").get());
     EXPECT_EQ(uint64_t(kReqs),
               daemon.stats().counter("requests_served").get());
-    daemon.stop();
-    fs.close(host_fd);
-}
-
-// With the sweep linger armed, an under-filled gather group waits one
-// extra sweep for a straggler the occupancy census can already see,
-// instead of paying a lone host read — the staggered-burst shape one
-// block's split-phase prefetch produces when its second slot is still
-// being filled as the daemon claims the first.
-TEST(RpcAggregation, SweepLingerMergesStaggeredBurstIntoOneHostRead)
-{
-    sim::SimContext sim;
-    hostfs::HostFs fs{sim};
-    consistency::ConsistencyMgr mgr;
-    gpu::GpuDevice dev{sim, 0};
-    CpuDaemon daemon{fs, mgr};
-    RpcQueue &q = daemon.attachGpu(dev);
-
-    constexpr uint64_t kPage = 16 * KiB;
-    test::addRamp(fs, "/stagger", 8 * kPage);
-    int host_fd = fs.open("/stagger", hostfs::O_RDONLY_F);
-    ASSERT_GE(host_fd, 0);
-
-    // Straggler slot B is allocated (Filling: visible to the census,
-    // invisible to pollAll) BEFORE the daemon starts; slot A is fully
-    // published. Without linger the first sweep reads for A alone and
-    // B costs a SECOND host read.
-    RpcSlot *b = q.beginFill();
-    ASSERT_NE(nullptr, b);
-
-    std::vector<uint8_t> pa(kPage, 0xEE), pb(kPage, 0xEE);
-    RpcRequest ra;
-    ra.op = RpcOp::ReadPages;
-    ra.hostFd = host_fd;
-    ra.offset = 0;
-    ra.len = kPage;
-    ra.pageLen = kPage;
-    ra.pageCount = 1;
-    ra.issueTime = 10;
-    ra.batch[0] = pa.data();
-    RpcSlot *a = q.trySubmit(ra);
-    ASSERT_NE(nullptr, a);
-
-    daemon.setSweepLinger(1000000);     // 1ms virtual deadline
-    daemon.start();
-
-    // Give the daemon real time to claim A and park it against the
-    // Filling census entry, then land the straggler. (If the publish
-    // wins the race instead, both slots meet in one sweep — the same
-    // single gathered read either way.)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    RpcRequest rb = ra;
-    rb.offset = 4 * kPage;
-    rb.issueTime = 20;
-    rb.batch[0] = pb.data();
-    q.publish(b, rb);
-
-    RpcResponse resp_a = q.collect(*a);
-    RpcResponse resp_b = q.collect(*b);
-    ASSERT_EQ(Status::Ok, resp_a.status);
-    ASSERT_EQ(Status::Ok, resp_b.status);
-    EXPECT_EQ(kPage, resp_a.bytes);
-    EXPECT_EQ(kPage, resp_b.bytes);
-    for (uint64_t off = 0; off < kPage; off += 1021) {
-        ASSERT_EQ(test::rampByte(off), pa[off]) << off;
-        ASSERT_EQ(test::rampByte(4 * kPage + off), pb[off]) << off;
-    }
-
-    // The parked slot merged with the straggler: ONE gathered host
-    // read for the two RPCs (one coalesced away) instead of two.
-    EXPECT_EQ(1u, daemon.stats().counter("host_read_calls").get());
-    EXPECT_EQ(1u, daemon.stats().counter("coalesced_rpcs").get());
-    EXPECT_EQ(2u, daemon.stats().counter("requests_served").get());
     daemon.stop();
     fs.close(host_fd);
 }

@@ -182,9 +182,10 @@ TEST(ShardTest, PeerReadFallsBackWhenOwnerDrained)
               sys->fs(1).gread(ctx1, fd1, 0, kShared, buf1.data()));
     sys->fs(1).gclose(ctx1, fd1);
     // GPU0-owned pages were gone: served from the host, not the peer.
-    if (gpu0_owned > 0)
+    if (gpu0_owned > 0) {
         EXPECT_GE(counterOf(sys->fs(1), "peer_pages_fallback"),
                   gpu0_owned);
+    }
     for (uint64_t i = 0; i < kShared; i += 509)
         ASSERT_EQ(test::rampByte(i), buf1[i]) << i;
 }

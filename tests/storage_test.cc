@@ -48,7 +48,7 @@ class StorageBackendTest
         p.cacheBytes = 16 * MiB;
         // Demand paging only: injected read faults must be consumed by
         // the reads the test issues, not by speculation.
-        p.readAheadPolicy = ReadAheadPolicy::Static;
+        p.readAheadPages = 0;
         p.storageBackend = GetParam();
         sys = std::make_unique<GpufsSystem>(1, p);
     }

@@ -525,10 +525,9 @@ TEST_F(StressTest, ReadAheadReducesVirtualTimeOfSequentialScan)
         GpuFsParams p;
         p.pageSize = 64 * KiB;
         p.cacheBytes = 32 * MiB;
-        p.readAheadPages = ra_pages;
         // The ra_pages=0 baseline must stay read-ahead-free (adaptive,
         // the default, would prefetch this sequential scan itself).
-        p.readAheadPolicy = ReadAheadPolicy::Static;
+        p.readAheadPages = ra_pages;
         GpufsSystem s(1, p);
         test::addRamp(s.hostFs(), "/seq", 16 * MiB);
         // Warm the host page cache: the read-ahead win is the per-map

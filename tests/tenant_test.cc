@@ -27,7 +27,7 @@ tenantParams(uint64_t cache_pages)
     p.cacheBytes = cache_pages * kPg;
     // Demand-only fetches: quota arithmetic in these tests counts
     // every claimed frame, so speculation would blur the ledgers.
-    p.readAheadPolicy = ReadAheadPolicy::Static;
+    p.readAheadPages = 0;
     return p;
 }
 

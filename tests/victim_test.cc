@@ -33,7 +33,6 @@ victimSystem(uint64_t cache_pages, uint64_t victim_pages,
     p.pageSize = kPage;
     p.cacheBytes = cache_pages * kPage;
     p.readAheadPages = 0;
-    p.readAheadPolicy = ReadAheadPolicy::Static;
     p.victimCachePages = victim_pages;
     p.shardPolicy = shard;
     return std::make_unique<GpufsSystem>(num_gpus, p);
@@ -369,7 +368,6 @@ TEST(VictimTest, ConcurrentDemoteAndRehitKeepsBytesIdentical)
     p.pageSize = kPage;
     p.cacheBytes = (kPages / 4) * kPage;
     p.readAheadPages = 0;
-    p.readAheadPolicy = ReadAheadPolicy::Static;
     p.victimCachePages = 2 * kPages;
     GpufsSystem sys(1, p);
     test::addRamp(sys.hostFs(), "/race", kPages * kPage);
