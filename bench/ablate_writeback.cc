@@ -1,26 +1,17 @@
 /**
  * @file
- * Ablation: the write path — per-page WriteBack RPCs vs batched
- * WritePages, with and without the async write-back flusher.
+ * Ablation: the write path — batched WritePages write-back, with and
+ * without the daemon's write-ahead journal.
  *
- * §3.3/§4.2 argue dirty-page write-back must be asynchronous and
- * batched so GPU threads never stall on host I/O. This bench
- * quantifies both levers on a sequential-write workload (mirrors
- * ablate_eviction's structure):
- *
- *  - batching: gfsync's dirty extents coalesce into WritePages RPCs of
- *    up to rpc::kMaxBatchPages pages (one request charge, one gathered
- *    pwritev, one D2H DMA reservation) instead of one round-trip per
- *    page — the write twin of the ReadPages batching in fig4;
- *  - the flusher: a background host thread drains dirty pages while
- *    the kernel computes, so gfsync finds few of them and its latency
- *    stops growing with the dirty-page count.
+ * Every dirty page reaches the host through gfsync's (or eviction's)
+ * WritePages RPCs: up to rpc::kMaxBatchPages dirty extents per request,
+ * one request charge, one gathered pwritev, one D2H DMA reservation —
+ * the write twin of the ReadPages batching in fig4. This bench runs a
+ * sequential-write workload and gates the journal's cost on it.
  */
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <thread>
 #include <vector>
 
 #include "bench/benchutil.hh"
@@ -33,37 +24,11 @@ namespace {
 constexpr char kPath[] = "/data/wb.bin";
 constexpr uint64_t kPage = 64 * KiB;
 
-struct Mode {
-    const char *name;
-    bool batched;
-    bool flusher;
-};
-
-const Mode kModes[] = {
-    {"per_page+sync", false, false},
-    {"batched+sync", true, false},
-    {"per_page+async", false, true},
-    {"batched+async", true, true},
-};
-
-core::GpuFsParams
-makeParams(const Mode &m, uint64_t cache_bytes)
-{
-    core::GpuFsParams p;
-    p.pageSize = kPage;
-    p.cacheBytes = cache_bytes;
-    p.batchWriteback = m.batched;
-    p.asyncWriteback = m.flusher;
-    p.flusherIntervalUs = 100;
-    return p;
-}
-
 struct SeqResult {
     Time virt;               ///< whole-kernel virtual span
     double gfsyncMs;         ///< mean per-block gfsync latency (virtual)
-    uint64_t writeRpcs;      ///< WriteBack + WritePages requests
+    uint64_t writeRpcs;      ///< WritePages requests
     uint64_t pagesWritten;   ///< page extents written back
-    uint64_t flusherPages;   ///< of which the async flusher drained
     uint64_t journalCommits; ///< write-ahead txns committed (journal on)
 };
 
@@ -72,12 +37,14 @@ struct SeqResult {
  *  the daemon's write-ahead journal; @p durable opens G_GDURABLE so
  *  write-backs actually ride it. */
 SeqResult
-runSeq(const Mode &m, unsigned blocks, unsigned pages_per_block,
-       bool journal = false, bool durable = false)
+runSeq(unsigned blocks, unsigned pages_per_block, bool journal = false,
+       bool durable = false)
 {
     const uint64_t span = uint64_t(pages_per_block) * kPage;
     const uint64_t file_bytes = uint64_t(blocks) * span;
-    core::GpuFsParams params = makeParams(m, file_bytes + 64 * kPage);
+    core::GpuFsParams params;
+    params.pageSize = kPage;
+    params.cacheBytes = file_bytes + 64 * kPage;
     params.journalWriteback = journal;
     core::GpufsSystem sys(1, params);
     bench::addZerosFile(sys.hostFs(), kPath, file_bytes,
@@ -98,16 +65,7 @@ runSeq(const Mode &m, unsigned blocks, unsigned pages_per_block,
                 fs.gwrite(ctx, fd, base + uint64_t(i) * kPage, kPage,
                           buf.data());
             }
-            // Post-write compute phase, charged in every mode so the
-            // comparison is fair: in the async modes the flusher
-            // drains dirty pages behind it (the real sleep gives the
-            // host thread wall time; the virtual charge is the window
-            // the drain hides in).
-            ctx.charge(20 * kMillisecond);
-            if (m.flusher) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5));
-            }
+            ctx.charge(20 * kMillisecond);  // post-write compute phase
             Time t0 = ctx.now();
             fs.gfsyncRange(ctx, fd, base, span);
             sync_total.fetch_add(ctx.now() - t0,
@@ -119,45 +77,10 @@ runSeq(const Mode &m, unsigned blocks, unsigned pages_per_block,
     SeqResult r;
     r.virt = ks.elapsed();
     r.gfsyncMs = toMillis(sync_total.load() / blocks);
-    r.writeRpcs = st.counter("writeback_rpcs").get() +
-        st.counter("batch_write_rpcs").get();
-    r.pagesWritten = st.counter("writeback_rpcs").get() +
-        st.counter("batch_write_pages").get();
-    r.flusherPages = st.counter("flusher_pages").get();
+    r.writeRpcs = st.counter("batch_write_rpcs").get();
+    r.pagesWritten = st.counter("batch_write_pages").get();
     r.journalCommits = sys.daemon().stats().counter("journal_commits").get();
     return r;
-}
-
-/** gfsync latency as a function of the dirty-page count at sync time
- *  (single block; sub-linearity is the async flusher's payoff). */
-double
-runLatency(const Mode &m, unsigned dirty_pages)
-{
-    const uint64_t file_bytes = uint64_t(dirty_pages) * kPage;
-    core::GpufsSystem sys(1, makeParams(m, file_bytes + 64 * kPage));
-    bench::addZerosFile(sys.hostFs(), kPath, file_bytes,
-                        /*writable=*/true);
-    bench::warmHostCache(sys.hostFs(), kPath);
-
-    std::atomic<uint64_t> sync_ns{0};
-    gpu::launch(sys.device(0), 1, 512, [&](gpu::BlockCtx &ctx) {
-        core::GpuFs &fs = sys.fs();
-        int fd = fs.gopen(ctx, kPath, core::G_RDWR);
-        gpufs_assert(fd >= 0, "gopen failed");
-        std::vector<uint8_t> buf(kPage, 0x5A);
-        for (unsigned i = 0; i < dirty_pages; ++i)
-            fs.gwrite(ctx, fd, uint64_t(i) * kPage, kPage, buf.data());
-        // Same fairness convention as runSeq: every mode pays the
-        // compute phase; the flusher hides its drain inside it.
-        ctx.charge(20 * kMillisecond);
-        if (m.flusher)
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        Time t0 = ctx.now();
-        fs.gfsync(ctx, fd);
-        sync_ns.store(ctx.now() - t0, std::memory_order_relaxed);
-        fs.gclose(ctx, fd);
-    });
-    return toMillis(sync_ns.load());
 }
 
 } // namespace
@@ -167,63 +90,18 @@ main(int argc, char **argv)
 {
     bench::Options opt = bench::parseOptions(
         argc, argv, 1.0,
-        "Ablation: per-page vs batched write-back x sync vs async "
-        "flusher");
+        "Ablation: batched write-back, journal off vs on");
     const unsigned blocks = 16;
     const unsigned pages_per_block =
         std::max(4u, unsigned(64 * opt.scale));
 
     bench::printTitle(
-        "Ablation: write-back path — per-page WriteBack vs batched "
-        "WritePages, sync vs async flusher",
-        "batching amortizes the per-request CPU and DMA-setup charges "
-        "across up to 16 dirty pages; the flusher drains dirty pages "
-        "during compute so gfsync stops paying for them");
+        "Ablation: write-back path — batched WritePages, write-ahead "
+        "journal off vs on",
+        "gfsync coalesces up to 16 dirty extents per WritePages RPC; "
+        "G_GDURABLE journaling appends and commits each batch before "
+        "its in-place write");
 
-    std::printf("%-16s %10s %10s %10s %14s %12s %14s\n", "mode",
-                "write_rpcs", "pages_wb", "pages/rpc", "mean_gfsync_ms",
-                "kernel_ms", "flusher_pages");
-    uint64_t per_page_rpcs = 0;
-    for (const Mode &m : kModes) {
-        SeqResult r = runSeq(m, blocks, pages_per_block);
-        if (!m.batched && !m.flusher)
-            per_page_rpcs = r.writeRpcs;
-        std::printf("%-16s %10llu %10llu %10.1f %14.2f %12.1f %14llu\n",
-                    m.name,
-                    static_cast<unsigned long long>(r.writeRpcs),
-                    static_cast<unsigned long long>(r.pagesWritten),
-                    r.writeRpcs
-                        ? double(r.pagesWritten) / double(r.writeRpcs)
-                        : 0.0,
-                    r.gfsyncMs, toMillis(r.virt),
-                    static_cast<unsigned long long>(r.flusherPages));
-        if (m.batched && !m.flusher && per_page_rpcs) {
-            std::printf("#  batching reduction: %.1fx fewer write RPCs "
-                        "than per-page\n",
-                        double(per_page_rpcs) / double(r.writeRpcs));
-        }
-    }
-    std::printf("#  (16 blocks bursting writes into ONE shared file: "
-                "the async win shows in kernel_ms — write-back "
-                "overlapped with compute — while per-block gfsync "
-                "stays contended on the single-CPU daemon; the "
-                "single-writer sweep below isolates gfsync itself)\n");
-
-    std::printf("\n#  gfsync latency (ms) vs dirty-page count at sync "
-                "time (single block; async should stay ~flat):\n");
-    const unsigned sweep[] = {8, 32, 128};
-    std::printf("%-16s", "mode");
-    for (unsigned n : sweep)
-        std::printf(" %9s", ("N=" + std::to_string(n)).c_str());
-    std::printf("\n");
-    for (const Mode &m : kModes) {
-        std::printf("%-16s", m.name);
-        for (unsigned n : sweep)
-            std::printf(" %9.2f", runLatency(m, n));
-        std::printf("\n");
-    }
-
-    // ---- write-ahead journal cost (crash consistency) ----
     // Two gates, both fatal (nonzero exit wired into ctest/CI):
     //  - with the journal ENABLED but no G_GDURABLE file, nothing may
     //    deviate from the no-journal baseline AT ALL. A multi-block
@@ -234,14 +112,13 @@ main(int argc, char **argv)
     //    every in-place write-back) must cost <= 15% span on the
     //    contended batched write-back workload, judged against the
     //    same run's baseline.
-    const Mode &batched_sync = kModes[1];
     bool fail = false;
 
     const unsigned solo_pages = 4 * pages_per_block;
-    SeqResult sbase = runSeq(batched_sync, 1, solo_pages);
-    SeqResult sjoff = runSeq(batched_sync, 1, solo_pages,
-                             /*journal=*/true, /*durable=*/false);
-    std::printf("\n#  journal-off identity (single block x %u pages, "
+    SeqResult sbase = runSeq(1, solo_pages);
+    SeqResult sjoff = runSeq(1, solo_pages, /*journal=*/true,
+                             /*durable=*/false);
+    std::printf("#  journal-off identity (single block x %u pages, "
                 "deterministic): base %.3f ms, journal-on+non-durable "
                 "%.3f ms\n",
                 solo_pages, toMillis(sbase.virt), toMillis(sjoff.virt));
@@ -253,19 +130,23 @@ main(int argc, char **argv)
         fail = true;
     }
 
-    SeqResult base = runSeq(batched_sync, blocks, pages_per_block);
-    SeqResult jdur = runSeq(batched_sync, blocks, pages_per_block,
-                            /*journal=*/true, /*durable=*/true);
-    std::printf("\n#  write-ahead journal cost (batched+sync, %u blocks "
-                "x %u pages):\n",
+    SeqResult base = runSeq(blocks, pages_per_block);
+    SeqResult jdur = runSeq(blocks, pages_per_block, /*journal=*/true,
+                            /*durable=*/true);
+    std::printf("\n#  write-ahead journal cost (%u blocks x %u pages):\n",
                 blocks, pages_per_block);
-    std::printf("%-24s %12s %10s %12s %10s\n", "config", "kernel_ms",
-                "vs_base", "write_rpcs", "jrnl_txns");
+    std::printf("%-24s %12s %10s %12s %10s %14s %10s\n", "config",
+                "kernel_ms", "vs_base", "write_rpcs", "pages/rpc",
+                "mean_gfsync_ms", "jrnl_txns");
     auto row = [&](const char *name, const SeqResult &r) {
-        std::printf("%-24s %12.1f %9.1f%% %12llu %10llu\n", name,
-                    toMillis(r.virt),
+        std::printf("%-24s %12.1f %9.1f%% %12llu %10.1f %14.2f %10llu\n",
+                    name, toMillis(r.virt),
                     100.0 * double(r.virt) / double(base.virt) - 100.0,
                     static_cast<unsigned long long>(r.writeRpcs),
+                    r.writeRpcs
+                        ? double(r.pagesWritten) / double(r.writeRpcs)
+                        : 0.0,
+                    r.gfsyncMs,
                     static_cast<unsigned long long>(r.journalCommits));
     };
     row("journal_off", base);

@@ -182,7 +182,6 @@ BufferCache::BufferCache(gpu::GpuDevice &device, rpc::RpcQueue &rpc_queue,
       cntReadRpcs(stat_set.counter("read_rpcs")),
       cntBatchReadRpcs(stat_set.counter("batch_read_rpcs")),
       cntBatchPages(stat_set.counter("batch_read_pages")),
-      cntWriteRpcs(stat_set.counter("writeback_rpcs")),
       cntBatchWriteRpcs(stat_set.counter("batch_write_rpcs")),
       cntBatchWritePages(stat_set.counter("batch_write_pages")),
       // Sharded multi-GPU: non-owner misses that went to a peer, split
@@ -311,12 +310,12 @@ BufferCache::parkFile(CacheFile &f, uint64_t close_seq)
                     f.fetchInFlight.load() != 0 ||
                     f.opInFlight.load() != 0)) {
         // Keep the fd: eviction may still write back, an in-flight
-        // drain (async flusher) still needs it — its take made the
-        // count 0 before its RPC landed — a split-phase fetch
-        // (wait-after-close) reads through it until collected, and an
-        // unretired async op may need it to refetch evicted pages at
-        // resolution. maybeReleaseClosedFd picks the fd up once they
-        // complete.
+        // drain (another block's eviction or gfsync_async) still needs
+        // it — its take made the count 0 before its RPC landed — a
+        // split-phase fetch (wait-after-close) reads through it until
+        // collected, and an unretired async op may need it to refetch
+        // evicted pages at resolution. maybeReleaseClosedFdLocked
+        // picks the fd up once they complete.
         if (f.hostFd >= 0)
             listAdd(keptFd_, &f);
         return -1;
@@ -415,6 +414,40 @@ BufferCache::fetchPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
     return Status::Ok;
 }
 
+namespace {
+
+/**
+ * Diff-and-merge scan: from *@p pos, skip the bytes where the working
+ * copy @p data equals @p pristine, then fold the following run of
+ * changed bytes into @p pristine, reading each working byte exactly
+ * once. Advances *@p pos past the run. @return the run's first byte
+ * (*@p pos when no changed byte was found before @p hi).
+ *
+ * Blocks write the working copy lock-free, so these reads overlap
+ * their memcpy by design — the byte-plane race .tsan-suppressions
+ * names this function for.
+ */
+uint32_t
+foldChangedRun(const uint8_t *data, uint8_t *pristine, uint32_t *pos,
+               uint32_t hi)
+{
+    uint32_t i = *pos;
+    while (i < hi && data[i] == pristine[i])
+        ++i;
+    uint32_t run = i;
+    while (run < hi) {
+        uint8_t v = data[run];      // single racy read, folded
+        if (v == pristine[run])
+            break;
+        pristine[run] = v;
+        ++run;
+    }
+    *pos = run;
+    return i;
+}
+
+} // namespace
+
 Time
 BufferCache::writebackExtent(CacheFile &f, uint64_t page_idx,
                              const uint8_t *data, uint32_t lo, uint32_t hi,
@@ -440,15 +473,19 @@ BufferCache::writebackExtent(CacheFile &f, uint64_t page_idx,
             pristine_base = arena_.data(pr);
     }
     if (pristine_base) {
+        // The fold runs ahead of the RPC, so a run whose write fails
+        // gets its pre-fold pristine bytes back and diffs again at the
+        // next sync.
+        const std::vector<uint8_t> before(pristine_base + lo,
+                                          pristine_base + hi);
         // Charge the GPU-side diff scan (read both copies).
         Time t = issue + transferTime(2 * (hi - lo),
                                       dev.simContext().params.gpuMemBwMBps);
         Time max_done = t;
         Status agg = Status::Ok;
         // Changed runs batch into WritePages requests (up to
-        // kMaxBatchPages runs each) instead of one WriteBack RPC per
-        // run: a heavily fragmented page pays one request charge per
-        // batch, not per run.
+        // kMaxBatchPages runs each): a heavily fragmented page pays one
+        // request charge per batch, not per run.
         WriteExtent runs[rpc::kMaxBatchPages];
         unsigned nruns = 0;
         auto flush_runs = [&]() {
@@ -457,55 +494,27 @@ BufferCache::writebackExtent(CacheFile &f, uint64_t page_idx,
             Time done = t;
             Status run_st = writeExtentsRpc(f, runs, nruns,
                                             /*zero_diff=*/false, t, &done);
-            if (!ok(run_st))
+            if (!ok(run_st)) {
                 agg = run_st;
+                for (unsigned r = 0; r < nruns; ++r) {
+                    uint64_t at = runs[r].off - page_idx * params_.pageSize;
+                    std::memcpy(pristine_base + at, before.data() + (at - lo),
+                                runs[r].len);
+                }
+            }
             max_done = std::max(max_done, done);
             nruns = 0;
         };
         uint32_t i = lo;
         while (i < hi) {
-            while (i < hi && data[i] == pristine_base[i])
-                ++i;
-            uint32_t run = i;
-            while (run < hi) {
-                uint8_t v = data[run];      // single racy read, folded
-                if (v == pristine_base[run])
-                    break;
-                pristine_base[run] = v;
-                ++run;
+            uint32_t start = foldChangedRun(data, pristine_base, &i, hi);
+            if (i > start) {
+                if (nruns == rpc::kMaxBatchPages)
+                    flush_runs();
+                runs[nruns++] = {page_idx * params_.pageSize + start,
+                                 i - start,
+                                 pristine_base + start};  // stable snapshot
             }
-            if (run > i) {
-                if (params_.batchWriteback) {
-                    if (nruns == rpc::kMaxBatchPages)
-                        flush_runs();
-                    runs[nruns++] = {page_idx * params_.pageSize + i,
-                                     run - i,
-                                     pristine_base + i};  // stable snapshot
-                } else {
-                    rpc::RpcRequest req;
-                    req.op = rpc::RpcOp::WriteBack;
-                    req.hostFd = f.hostFd;
-                    req.offset = page_idx * params_.pageSize + i;
-                    req.len = run - i;
-                    req.data = pristine_base + i;   // stable snapshot
-                    req.gpuId = dev.id();
-                    req.issueTime = t;
-                    req.tenant = f.tenant.load(std::memory_order_relaxed);
-                    rpc::RpcResponse r = queue.call(req);
-                    cntWriteRpcs.inc();
-                    if (!ok(r.status)) {
-                        agg = r.status;
-                    } else {
-                        if (r.version != 0)
-                            f.version.store(r.version,
-                                            std::memory_order_relaxed);
-                        f.needsFsync.store(true,
-                                           std::memory_order_release);
-                    }
-                    max_done = std::max(max_done, r.done);
-                }
-            }
-            i = run;
         }
         flush_runs();
         if (st)
@@ -513,29 +522,13 @@ BufferCache::writebackExtent(CacheFile &f, uint64_t page_idx,
         return max_done;
     }
 
-    rpc::RpcRequest req;
-    req.op = rpc::RpcOp::WriteBack;
-    req.hostFd = f.hostFd;
-    req.offset = page_idx * params_.pageSize + lo;
-    req.len = hi - lo;
-    req.data = const_cast<uint8_t *>(data) + lo;
-    req.diffAgainstZeros = f.wronce;
-    req.gpuId = dev.id();
-    req.issueTime = issue;
-    req.tenant = f.tenant.load(std::memory_order_relaxed);
-    rpc::RpcResponse resp = queue.call(req);
-    cntWriteRpcs.inc();
+    const WriteExtent one{page_idx * params_.pageSize + lo, hi - lo,
+                          data + lo};
+    Time done = issue;
+    Status one_st = writeExtentsRpc(f, &one, 1, f.wronce, issue, &done);
     if (st)
-        *st = resp.status;
-    if (ok(resp.status)) {
-        if (resp.version != 0) {
-            // Track the version our own write produced so reopen does
-            // not mistake it for a remote modification.
-            f.version.store(resp.version, std::memory_order_relaxed);
-        }
-        f.needsFsync.store(true, std::memory_order_release);
-    }
-    return resp.done;
+        *st = one_st;
+    return done;
 }
 
 Status
@@ -730,20 +723,14 @@ BufferCache::flushDirty(gpu::BlockCtx &ctx, CacheFile &f,
     } wb_guard(f);
     // Callers draining for durability (gfsync, truncate, recycle — no
     // page bound) must also wait out extents a CONCURRENT collector
-    // (e.g. the async flusher) took and still has in flight; bounded
-    // callers (eviction, the flusher itself) don't make that promise.
+    // (another block's dirty eviction, a split-phase gfsync_async)
+    // took and still has in flight; bounded callers (eviction) don't
+    // make that promise.
     const bool durability = max_pages == UINT64_MAX;
-
-    // Diff-and-merge pages must diff against their GPU-side pristine
-    // copies, so they go through writebackExtent per page (each page's
-    // changed runs still batch into WritePages there).
-    if (!params_.batchWriteback || diffMergeActive(f)) {
-        Status st = flushDirtyPerPage(ctx, f, first_page, last_page,
-                                      pages_out, max_pages);
-        if (ok(st) && durability)
-            f.cache->awaitWritebacks(first_page, last_page);
-        return st;
-    }
+    // Diff-and-merge extents must diff against their GPU-side pristine
+    // copies, so each goes through writebackExtent (its changed runs
+    // still batch into WritePages there).
+    const bool diff_merge = diffMergeActive(f);
 
     Time max_done = ctx.now();
     Status agg = Status::Ok;
@@ -783,8 +770,22 @@ BufferCache::flushDirty(gpu::BlockCtx &ctx, CacheFile &f,
         // way to the host); private files take one WritePages.
         Time done = ctx.now();
         bool failed[rpc::kMaxBatchPages] = {};
-        Status one = writeBatchSharded(f, ext, n, ctx.now(), &done,
-                                       failed);
+        Status one = Status::Ok;
+        if (diff_merge) {
+            for (unsigned i = 0; i < n; ++i) {
+                Status st;
+                done = std::max(done,
+                                writebackExtent(f, ext[i].pageIdx,
+                                                arena_.data(ext[i].frame),
+                                                ext[i].lo, ext[i].hi,
+                                                ctx.now(), &st));
+                failed[i] = !ok(st);
+                if (failed[i] && ok(one))
+                    one = st;
+            }
+        } else {
+            one = writeBatchSharded(f, ext, n, ctx.now(), &done, failed);
+        }
         if (!ok(one)) {
             // Restore ONLY the failed partitions' extents so a later
             // sync retries exactly them (a sharded batch may have
@@ -815,46 +816,12 @@ BufferCache::flushDirty(gpu::BlockCtx &ctx, CacheFile &f,
     return agg;
 }
 
-Status
-BufferCache::flushDirtyPerPage(gpu::BlockCtx &ctx, CacheFile &f,
-                               uint64_t first_page, uint64_t last_page,
-                               unsigned *pages_out, uint64_t max_pages)
-{
-    Time max_done = ctx.now();
-    Status agg = Status::Ok;
-    uint64_t left = max_pages;
-    unsigned flushed = f.cache->forEachDirty(
-        [&](uint64_t idx, uint8_t *data, uint32_t lo,
-            uint32_t hi) -> bool {
-            if (left == 0)
-                return false;    // page cap hit: keep the rest dirty
-            if (idx < first_page || idx >= last_page)
-                return false;    // outside the range: keep it dirty
-            Status one;
-            // All write-backs are issued at the current clock so their
-            // DMA and host I/O pipeline on the resource timelines.
-            Time done = writebackExtent(f, idx, data, lo, hi, ctx.now(),
-                                        &one);
-            max_done = std::max(max_done, done);
-            if (!ok(one)) {
-                agg = one;
-                return false;   // restore the extent: a later sync retries
-            }
-            --left;
-            return true;
-        });
-    if (pages_out)
-        *pages_out = flushed;
-    ctx.waitUntil(max_done);
-    return agg;
-}
-
 unsigned
 BufferCache::submitFlush(gpu::BlockCtx &ctx, CacheFile &f,
                          uint64_t first_page, uint64_t last_page,
                          PendingFlush *out, unsigned max_batches)
 {
-    if (!f.cache || f.noSync || f.hostFd < 0 || !params_.batchWriteback)
+    if (!f.cache || f.noSync || f.hostFd < 0)
         return 0;
     // Diff-and-merge extents must diff against GPU-side pristine
     // copies page by page — they stay on the synchronous path.
@@ -1116,16 +1083,17 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
                 noteEvictedParked(f);
             return freed;
         }
-        if (allow_dirty && params_.batchWriteback && f.hostFd >= 0 &&
-            !f.noSync && f.cache->dirtyCount() != 0) {
+        if (allow_dirty && f.hostFd >= 0 && !f.noSync &&
+            f.cache->dirtyCount() != 0) {
             // Dirty eviction routes through the batched path: push
             // about as many of the file's oldest dirty extents home as
             // frames are wanted (takeDirtyBatch walks the same FIFO
             // order reclaim evicts in), as WritePages batches, so the
             // reclaim below finds clean pages. Bounded: draining the
             // whole file under the paging lock would stall every other
-            // block needing a frame. The per-page wb above stays as
-            // the backstop for dirty pages the bound left behind.
+            // block needing a frame. The wb above (one extent, one
+            // WritePages) stays as the backstop for dirty pages the
+            // bound left behind.
             Status st = flushDirty(ctx, f, 0, UINT64_MAX, nullptr,
                                    std::max<uint64_t>(
                                        n, rpc::kMaxBatchPages));
@@ -1165,13 +1133,6 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
             ++i;
     }
     return freed;
-}
-
-void
-BufferCache::maybeReleaseClosedFd(gpu::BlockCtx &ctx, CacheFile &f)
-{
-    PagingGuard lock(*this);
-    maybeReleaseClosedFdLocked(ctx, f);
 }
 
 bool

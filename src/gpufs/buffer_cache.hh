@@ -14,11 +14,10 @@
  * its bookkeeping fields (host fd, size, open/closed state) current;
  * BufferCache never looks at file descriptors, paths, or flag words —
  * which is what makes it constructible and testable without a GpuFs
- * instance. The async write-back flusher (GpufsSystem's thread,
- * GpuFs::backgroundFlushPass) is one client of this seam; the sharded
- * multi-GPU cache is another — an installed ShardMap turns non-owner
- * misses into PeerReadPages RPCs (and batched write-back of non-owner
- * pages into PeerWritePages) through the same claim protocols, while
+ * instance. The sharded multi-GPU cache is one client of this seam:
+ * an installed ShardMap turns non-owner misses into PeerReadPages RPCs
+ * (and batched write-back of non-owner pages into PeerWritePages)
+ * through the same claim protocols, while
  * peerCopyResident/peerMirrorResident are the daemon-side window into
  * THIS cache when this GPU is the owner (see ARCHITECTURE.md
  * "Sharded multi-GPU cache").
@@ -149,19 +148,10 @@ struct CacheFile {
     std::atomic<uint32_t> fetchInFlight{0};
 
     /** Host page cache dirtied by our write-backs since the last host
-     *  fsync of this file. gfsync and the async flusher's clean-edge
-     *  fsync both clear it; both skip the Fsync RPC when it is clear —
-     *  which is what coalesces the per-block gfsync bursts (and the
-     *  flusher's repeat passes) on a shared file into one host fsync. */
+     *  fsync of this file. gfsync clears it and skips the Fsync RPC
+     *  when it is clear — which is what coalesces the per-block gfsync
+     *  bursts on a shared file into one host fsync. */
     std::atomic<bool> needsFsync{false};
-
-    /** Async gfsync tokens whose submit-time WritePages rounds did NOT
-     *  cover the whole dirty set (gfsync_async submits at most 4
-     *  batches split-phase). While nonzero, the background flusher
-     *  lifts its per-pass drain cap for this file — adopting the
-     *  token's residual dirty range so a huge dirty set drains in the
-     *  background instead of synchronously at gwait. */
-    std::atomic<uint32_t> fsyncPending{0};
 
     /** Async request-table ops submitted against this file and not yet
      *  retired by gwait. Wait-after-close is legal, and resolution may
@@ -171,6 +161,16 @@ struct CacheFile {
      *  nonzero count like dirty data: keep the fd, keep the cache. */
     std::atomic<uint32_t> opInFlight{0};
 
+    /** True while something still reaches into the cache, so it must
+     *  not be destroyed: an unretired async op, a split-phase fetch,
+     *  or a pinned page (a gmmap mapping that outlived gclose). */
+    bool
+    inUse() const
+    {
+        return opInFlight.load(std::memory_order_acquire) != 0 ||
+            fetchInFlight.load(std::memory_order_acquire) != 0 ||
+            (cache && cache->anyPinned());
+    }
 };
 
 /**
@@ -336,22 +336,27 @@ class BufferCache
 
     // ---- write-back ----
 
-    /** Write one page extent back to the host, honouring the file's
-     *  merge semantics (zero-diff, diff-and-merge). @return completion
-     *  time of the last write. */
+    /** Write one page extent back to the host as WritePages RPCs,
+     *  honouring the file's merge semantics: one extent (zero-diff
+     *  under O_GWRONCE), or the changed runs of a diff-and-merge page.
+     *  On failure the extent is left for the caller to restore, and
+     *  the pristine copy of every run that did not land is rolled
+     *  back so the next sync diffs it again. @return completion time
+     *  of the last write. */
     Time writebackExtent(CacheFile &f, uint64_t page_idx,
                          const uint8_t *data, uint32_t lo, uint32_t hi,
                          Time issue, Status *st);
 
     /**
      * Write back every dirty, unpinned page of @p f whose page index
-     * lies in [first_page, last_page). With batchWriteback (default)
-     * the dirty extents are coalesced into WritePages RPCs of up to
-     * rpc::kMaxBatchPages pages each; extents of pages that fail are
+     * lies in [first_page, last_page): the dirty extents are taken in
+     * batches of up to rpc::kMaxBatchPages and coalesced into
+     * WritePages RPCs (diff-and-merge extents are diffed one by one
+     * first, see writebackExtent); extents of pages that fail are
      * restored so a later sync can retry. Advances @p ctx past the
      * last completion. @p pages_out, when non-null, receives the
      * number of pages written back (gfsync, eviction, gftruncate and
-     * the async flusher all route through here). @p max_pages caps the
+     * table recycling all route through here). @p max_pages caps the
      * drain (dirty eviction flushes only about as many pages as it
      * wants to reclaim, not the whole file).
      * @return first failure status, Ok otherwise.
@@ -423,11 +428,11 @@ class BufferCache
     /**
      * Split-phase gfsync front half: take up to @p max_batches batches
      * of dirty extents of @p f in [first_page, last_page) and submit
-     * their WritePages RPCs without waiting. Only on the batched,
-     * non-diff-merge path (callers fall back to a synchronous
-     * flushDirty at wait time otherwise — completeFlush + a residual
-     * flushDirty is always correct). Sharded files partition each take
-     * by page owner — self-owned extents ride WritePages, each peer
+     * their WritePages RPCs without waiting. Not for diff-and-merge
+     * files (callers fall back to a synchronous flushDirty at wait
+     * time — completeFlush + a residual flushDirty is always
+     * correct). Sharded files partition each take by page owner —
+     * self-owned extents ride WritePages, each peer
      * owner's one PeerWritePages — consuming one output slot per
      * partition, so the async rounds drain through the same
      * owner-partitioned routing as the wait-time flushDirty. Each
@@ -466,10 +471,6 @@ class BufferCache
     unsigned reclaimFrames(gpu::BlockCtx &ctx, unsigned want,
                            uint8_t tenant = kAnyTenant);
 
-    /** Release a closed file's host fd (and with it the host-side
-     *  consistency claim) once its cache holds no dirty data. */
-    void maybeReleaseClosedFd(gpu::BlockCtx &ctx, CacheFile &f);
-
     /**
      * Parked files that lost pages (eviction, dropPages) since the last
      * call, each once, in no particular order. A parked file holding a
@@ -507,7 +508,8 @@ class BufferCache
     /** True when @p f's pages carry diff-and-merge semantics: they
      *  must snapshot a pristine copy under the fetching pin, which
      *  excludes them from every batch-published path (split-phase
-     *  demand, read-ahead) and from the batched write-back. */
+     *  demand, read-ahead), and write back through writebackExtent's
+     *  diff, never split-phase. */
     bool
     diffMergeActive(const CacheFile &f) const
     {
@@ -675,7 +677,6 @@ class BufferCache
     Counter &cntReadRpcs;
     Counter &cntBatchReadRpcs;
     Counter &cntBatchPages;
-    Counter &cntWriteRpcs;
     Counter &cntBatchWriteRpcs;
     Counter &cntBatchWritePages;
     Counter &cntPeerReadRpcs;
@@ -794,14 +795,6 @@ class BufferCache
     Status writeExtentsRpc(CacheFile &f, const WriteExtent *ext,
                            unsigned n, bool zero_diff, Time issue,
                            Time *done_out);
-
-    /** Legacy per-page flush (batchWriteback off, or diff-and-merge
-     *  files, whose extents must diff against GPU-side pristine
-     *  copies). Honors the same @p max_pages cap as the batched
-     *  path. */
-    Status flushDirtyPerPage(gpu::BlockCtx &ctx, CacheFile &f,
-                             uint64_t first_page, uint64_t last_page,
-                             unsigned *pages_out, uint64_t max_pages);
 
     /** Release @p f's kept host fd once it is parked clean with
      *  nothing in flight. @return true iff released. */

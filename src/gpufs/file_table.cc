@@ -162,14 +162,8 @@ FileTable::pickRecyclable() const
     for (int pass = 0; pass < 2; ++pass) {
         for (const auto &[seq, idx] : closedBySeq_) {
             const OpenFile &e = *entries_[idx];
-            if (e.cf.fetchInFlight.load(std::memory_order_acquire) != 0 ||
-                e.cf.opInFlight.load(std::memory_order_acquire) != 0) {
-                // A split-phase fetch targets its frames / an
-                // unretired token still resolves through this cache.
-                continue;
-            }
             bool clean = !e.cf.cache || e.cf.cache->dirtyCount() == 0;
-            if (pass == 0 && !clean)
+            if ((pass == 0 && !clean) || e.cf.inUse())
                 continue;
             return idx;
         }

@@ -128,16 +128,6 @@ struct OpenFile {
     bool gdurable() const { return flags & G_GDURABLE; }
     TenantId tenant() const { return g_tenant_of(flags); }
 
-    /** True when the background flusher should drain this entry: a
-     *  live cache holding dirty pages whose contents are host-synced
-     *  (NOSYNC temps are never written back, §3.2). */
-    bool
-    flushEligible() const
-    {
-        return state_ != EState::Free && !nosync() && cf.cache &&
-            cf.cache->dirtyCount() != 0;
-    }
-
     /** Project the flag word into the cache layer's policy booleans. */
     void
     syncCacheFlags()
@@ -240,7 +230,8 @@ class FileTable
     /**
      * Pick the Closed entry to recycle when the table is full: oldest
      * close stamp first, preferring clean entries (their caches drop
-     * without write-back). @return index, or -1 if nothing is Closed.
+     * without write-back), skipping caches still in use
+     * (CacheFile::inUse). @return index, or -1 if none qualifies.
      */
     int pickRecyclable() const;
 

@@ -68,10 +68,6 @@ GpuFs::GpuFs(gpu::GpuDevice &device, rpc::RpcQueue &rpc_queue,
       cntInvalidations(stats_.counter("cache_invalidations")),
       cntBytesRead(stats_.counter("bytes_read")),
       cntBytesWritten(stats_.counter("bytes_written")),
-      cntFlusherPages(stats_.counter("flusher_pages")),
-      cntFlusherAdoptedPages(stats_.counter("flusher_adopted_pages")),
-      cntFlusherDrains(stats_.counter("flusher_drains")),
-      cntDrainedCollected(stats_.counter("drained_caches_collected")),
       cntAsyncReads(stats_.counter("async_reads")),
       cntAsyncWrites(stats_.counter("async_writes")),
       cntAsyncSyncs(stats_.counter("async_syncs")),
@@ -235,11 +231,12 @@ GpuFs::gopen(gpu::BlockCtx &ctx, const std::string &path, uint32_t flags)
             return cidx;
         }
         // Stale cache: drop it; the now-Free slot is reused below. If
-        // unretired async tokens still resolve through this cache,
+        // the cache is still in use (unretired async tokens resolve
+        // through it, or a mapping that outlived gclose pins a page),
         // leave the entry parked instead — the drained-collection
-        // sweeps destroy it once they retire (its opInFlight guard).
+        // sweeps destroy it once it is released and drained.
         cntInvalidations.inc();
-        if (e.cf.opInFlight.load(std::memory_order_acquire) == 0)
+        if (!e.cf.inUse())
             destroyEntryLocked(ctx, cidx);
         else
             cidx = -1;
@@ -459,7 +456,6 @@ GpuFs::allocOp(gpu::BlockCtx &ctx, AsyncIoOp **out)
     op.result = 0;
     op.endOff = 0;
     op.demandPages = 0;
-    op.fsyncAdopt = false;
     op.flushStatus = Status::Ok;
     op.flushDone = 0;
     unsigned active = asyncActive_.fetch_add(1,
@@ -492,9 +488,6 @@ GpuFs::releaseOp(AsyncIoOp &op)
     op.segs.clear();
     op.fetches.clear();
     op.flushes.clear();
-    if (op.fsyncAdopt && op.entry)
-        op.entry->cf.fsyncPending.fetch_sub(1, std::memory_order_acq_rel);
-    op.fsyncAdopt = false;
     if (op.entry)
         op.entry->cf.opInFlight.fetch_sub(1);
     op.entry = nullptr;
@@ -749,16 +742,6 @@ GpuFs::submitFsync(gpu::BlockCtx &ctx, int fd, uint64_t first_page,
                                  pending, 4);
     for (unsigned i = 0; i < n; ++i)
         op->flushes.push_back(pending[i]);
-    // Residual adoption: when the submit-time rounds did not cover the
-    // whole dirty set, raise the file's fsyncPending so the background
-    // flusher lifts its per-pass drain cap and takes over the residual
-    // range — by gwait time there is usually little left to drain
-    // synchronously (ROADMAP "async write-back through the request
-    // table"). Cleared when the token retires (releaseOp).
-    if (e->cf.cache && e->cf.cache->dirtyCount() > 0) {
-        op->fsyncAdopt = true;
-        e->cf.fsyncPending.fetch_add(1, std::memory_order_acq_rel);
-    }
     return tok;
 }
 
@@ -835,7 +818,8 @@ GpuFs::resolveFsync(gpu::BlockCtx &ctx, AsyncIoOp &op)
     if (!ok(op.flushStatus))
         return -static_cast<int64_t>(op.flushStatus);
     // Residual drain + durability barrier (waits out extents that
-    // concurrent collectors, e.g. the async flusher, have in flight).
+    // concurrent collectors, e.g. another block's dirty eviction, have
+    // in flight).
     Status wb_st = bc_.flushDirty(ctx, cf, op.syncFirstPage,
                                   op.syncLastPage);
     if (!ok(wb_st))
@@ -843,8 +827,8 @@ GpuFs::resolveFsync(gpu::BlockCtx &ctx, AsyncIoOp &op)
     // Persist: flush the host page cache's dirty granules — but only
     // when one of our write-backs dirtied them since the last host
     // fsync. Skipping otherwise is what coalesces per-block gfsync
-    // bursts on a shared file (and gfsync-after-flusher-drain) into
-    // one Fsync RPC instead of one per block.
+    // bursts on a shared file into one Fsync RPC instead of one per
+    // block.
     //
     // G_GDURABLE files never dedup: their durability point is the
     // journal commit record (or a real host fsync when journaling is
@@ -1024,6 +1008,8 @@ GpuFs::gunlink(gpu::BlockCtx &ctx, const std::string &path)
         for (int idx : table_.slotsOfPath(path)) {
             OpenFile &e = table_.at(idx);
             if (e.state() == OpenFile::EState::Closed) {
+                if (e.cf.inUse())
+                    return Status::Busy;
                 destroyEntryLocked(ctx, idx);
             } else if (e.cf.cache) {
                 if (!bc_.dropPages(e.cf))
@@ -1088,120 +1074,6 @@ GpuFs::gftruncate(gpu::BlockCtx &ctx, int fd, uint64_t new_size)
     // gfsync must not dedup away.
     e->cf.needsFsync.store(true, std::memory_order_release);
     return Status::Ok;
-}
-
-Time
-GpuFs::backgroundFlushPass(Time start_time)
-{
-    // The flusher is a host-side thread, not a threadblock: it carries
-    // its own virtual clock (persisted across passes by the caller) so
-    // its write-backs land on the resource timelines without advancing
-    // any application block.
-    gpu::BlockCtx ctx(dev, /*block_id=*/0, /*num_blocks=*/1,
-                      /*threads=*/1, start_time, /*shared_bytes=*/0);
-    bool drained_any = false;
-    // One entry per table-lock hold: a drain is a string of blocking
-    // RPC round-trips, and holding tableMtx across the whole pass
-    // would stall every gopen/gclose for its duration — the opposite
-    // of what a background flusher is for. Entry objects are stable
-    // (the table never deallocates them), so only eligibility must be
-    // re-judged under the lock.
-    for (size_t i = 0; i < table_.size(); ++i) {
-        auto lock = lockTable();
-        OpenFile &e = table_.at(static_cast<int>(i));
-        if (!e.flushEligible())
-            continue;
-        // Cap the drain per lock hold: each batch is a blocking RPC
-        // round-trip, and an entry with a huge dirty set must not turn
-        // this hold into a long gopen/gclose stall — the remainder is
-        // picked up by the next pass (the interval is short).
-        // EXCEPTION: an outstanding gfsync_async token has adopted
-        // this file (fsyncPending): the flusher owns its residual
-        // dirty range now, so drain it whole — every page it takes
-        // here is one less page the token's gwait drains on the
-        // application block. (UINT64_MAX - 1 keeps the bounded-drain
-        // semantics: the durability barrier stays with gwait.)
-        constexpr uint64_t kDrainChunkPages = 4 * rpc::kMaxBatchPages;
-        const bool adopted =
-            e.cf.fsyncPending.load(std::memory_order_acquire) > 0;
-        unsigned pages = 0;
-        Status st = bc_.flushDirty(ctx, e.cf, 0, UINT64_MAX, &pages,
-                                   adopted ? UINT64_MAX - 1
-                                           : kDrainChunkPages);
-        if (adopted && pages > 0)
-            cntFlusherAdoptedPages.inc(pages);
-        if (!ok(st)) {
-            // The failed pages' extents were restored; leave them for
-            // a later pass or an explicit gfsync, which reports the
-            // error to the application.
-            gpufs_warn("background flush failed: %s", statusName(st));
-        }
-        if (pages > 0) {
-            cntFlusherPages.inc(pages);
-            drained_any = true;
-            // Write-behind reaches the disk too: once a file drains
-            // fully clean, fsync it on the host so the durability work
-            // (flushing the host page cache's dirty granules) happens
-            // HERE, overlapped with GPU compute, instead of inflating
-            // the application's later gfsync. Only on the clean edge —
-            // fsyncing every pass while a writer is still active would
-            // burn the shared CPU/disk timelines re-flushing the same
-            // file — and only when needsFsync says our write-backs
-            // actually dirtied the host since the last fsync: the
-            // exchange is the per-file dedup that keeps one drain pass
-            // (and a racing gfsync burst) down to ONE Fsync RPC per
-            // file. Fire-and-forget: the flusher does not advance its
-            // clock to the (slow) disk completion — queuing its next
-            // pass behind the disk would let its virtual clock run
-            // ahead of the GPUs and manufacture contention the real
-            // write-behind thread would never cause.
-            // G_GDURABLE + journal: every write-back above already
-            // carried a durable commit record, so the clean-edge data
-            // fsync would re-flush bytes the journal made safe — skip
-            // it (the gmsync/gfsync barrier answers from the commit
-            // record, not needsFsync).
-            const bool journaled_durable =
-                e.cf.durable.load(std::memory_order_relaxed) &&
-                params_.journalWriteback;
-            if (e.cf.hostFd >= 0 && !journaled_durable &&
-                e.cf.cache->dirtyCount() == 0 &&
-                e.cf.needsFsync.exchange(false,
-                                         std::memory_order_acq_rel)) {
-                rpc::RpcRequest req;
-                req.op = rpc::RpcOp::Fsync;
-                req.hostFd = e.cf.hostFd;
-                req.gpuId = dev.id();
-                req.issueTime = ctx.now();
-                rpc::RpcResponse resp = queue.call(req);
-                if (!ok(resp.status)) {
-                    // Leave durability to a later pass or an explicit
-                    // gfsync, which reports the error.
-                    e.cf.needsFsync.store(true,
-                                          std::memory_order_release);
-                }
-            }
-        }
-        // A closed file whose last dirty page just went home can
-        // release its host fd (and host-side write claim) now instead
-        // of waiting for the next reclaim pass.
-        if (e.state() == OpenFile::EState::Closed)
-            bc_.maybeReleaseClosedFd(ctx, e.cf);
-    }
-    if (drained_any)
-        cntFlusherDrains.inc();
-
-    // Eager drained-cache collection: the flusher owns the deferred
-    // destroy the API/BufferCache split left to the gopen slow path —
-    // closed entries whose pages eviction has fully reclaimed keep an
-    // empty radix tree (and possibly a host fd) for nothing.
-    {
-        auto lock = lockTable();
-        for (int di; (di = nextDrainedLocked()) >= 0;) {
-            destroyEntryLocked(ctx, di);
-            cntDrainedCollected.inc();
-        }
-    }
-    return ctx.now();
 }
 
 unsigned

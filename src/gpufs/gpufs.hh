@@ -146,10 +146,6 @@ struct AsyncIoOp {
 
     uint64_t syncFirstPage = 0;     ///< Fsync range
     uint64_t syncLastPage = 0;
-    /** Fsync whose submit-time batches left a residual dirty range:
-     *  the file's fsyncPending stays elevated (flusher adoption) until
-     *  this op retires. */
-    bool fsyncAdopt = false;
 
     std::vector<PendingFetch> fetches;
     std::vector<PendingFlush> flushes;
@@ -337,24 +333,6 @@ class GpuFs : public rpc::PeerPageSource
     /** Truncate and reclaim affected cached pages. */
     Status gftruncate(gpu::BlockCtx &ctx, int fd, uint64_t new_size);
 
-    // ---- background write-back (async flusher) ----
-
-    /**
-     * One drain pass of the async write-back daemon (§3.3), called
-     * periodically from the host-side flusher thread GpufsSystem owns:
-     * write back every entry's dirty pages through the batched
-     * BufferCache::flushDirty, release host fds of closed files whose
-     * last dirty page just went home, and eagerly destroy closed-file
-     * caches eviction has fully drained (instead of waiting for the
-     * next gopen slow path). Runs under tableMtx -> pagingMtx, the
-     * same lock discipline as the API calls it races with.
-     *
-     * @param start_time  the flusher's virtual clock (persisted across
-     *                    passes by the caller)
-     * @return the clock after the pass (max write-back completion)
-     */
-    Time backgroundFlushPass(Time start_time);
-
     // ---- introspection ----
     const GpuFsParams &params() const { return params_; }
     StatSet &stats() { return stats_; }
@@ -405,10 +383,6 @@ class GpuFs : public rpc::PeerPageSource
     Counter &cntInvalidations;
     Counter &cntBytesRead;
     Counter &cntBytesWritten;
-    Counter &cntFlusherPages;
-    Counter &cntFlusherAdoptedPages;
-    Counter &cntFlusherDrains;
-    Counter &cntDrainedCollected;
     Counter &cntAsyncReads;
     Counter &cntAsyncWrites;
     Counter &cntAsyncSyncs;

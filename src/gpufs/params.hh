@@ -130,34 +130,6 @@ struct GpuFsParams {
     bool enableDiffMerge = false;
 
     /**
-     * Batched write-back (the ReadPages symmetry, on by default):
-     * gfsync, dirty eviction and gftruncate coalesce up to
-     * rpc::kMaxBatchPages dirty page extents into one WritePages RPC —
-     * one request slot, one per-request CPU charge, one gathered
-     * HostFs::pwritev, one D2H DMA reservation — instead of one
-     * WriteBack round-trip per dirty page. Off reverts to the per-page
-     * path (bench/ablate_writeback quantifies the gap).
-     */
-    bool batchWriteback = true;
-
-    /**
-     * Async write-back daemon (§3.3: dirty pages are "written back ...
-     * asynchronously" so GPU threads never stall on host I/O; off by
-     * default, matching the prototype's sync-on-gfsync behavior). A
-     * host-side flusher thread owned by GpufsSystem periodically
-     * drains dirty pages through BufferCache::flushDirty, so gfsync
-     * usually finds few dirty pages — its latency stops growing with
-     * the dirty count — and eviction rarely meets a dirty page. The
-     * flusher also owns eager drained-cache collection: closed-file
-     * caches whose pages eviction has fully reclaimed are destroyed
-     * between passes instead of waiting for the next gopen slow path.
-     */
-    bool asyncWriteback = false;
-
-    /** Wall-clock period between flusher drain passes, microseconds. */
-    unsigned flusherIntervalUs = 200;
-
-    /**
      * Multi-GPU cache sharding (see ShardPolicy). Applied by
      * GpufsSystem, which owns the machine-wide ShardMap; a GpuFs
      * constructed standalone (tests) stays private regardless.

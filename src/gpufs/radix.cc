@@ -424,5 +424,19 @@ FileCache::residentPages() const
     return n;
 }
 
+bool
+FileCache::anyPinned() const
+{
+    for (const RadixNode *node = fifoTail.load(std::memory_order_acquire);
+         node != nullptr;
+         node = node->fifoPrev.load(std::memory_order_acquire)) {
+        for (unsigned i = 0; i < kRadixFanout; ++i) {
+            if (node->pages[i].refs.load(std::memory_order_acquire) != 0)
+                return true;
+        }
+    }
+    return false;
+}
+
 } // namespace core
 } // namespace gpufs

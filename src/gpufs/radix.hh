@@ -33,7 +33,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <type_traits>
 
 #include "base/logging.hh"
 #include "base/stats.hh"
@@ -384,66 +383,6 @@ class FileCache
     }
 
     /**
-     * Visit every dirty, unpinned page: lock it, call @p visit with
-     * (page_idx, data, dirty_lo, dirty_hi); if visit returns true the
-     * page was written back and its dirty extent is cleared, false
-     * leaves it dirty (range-filtered gfsync). Visitors returning
-     * void are treated as always-true. @return pages cleaned.
-     */
-    template <typename VisitFn>
-    unsigned
-    forEachDirty(VisitFn &&visit)
-    {
-        unsigned visited = 0;
-        for (RadixNode *n = fifoTail.load(std::memory_order_acquire);
-             n != nullptr;
-             n = n->fifoPrev.load(std::memory_order_acquire)) {
-            for (unsigned i = 0; i < kRadixFanout; ++i) {
-                FPage &p = n->pages[i];
-                if (p.state.load(std::memory_order_acquire) != kPageReady)
-                    continue;
-                uint32_t f = p.frame.load(std::memory_order_acquire);
-                if (f == kNoFrame || !arena.frame(f).isDirty())
-                    continue;
-                if (p.refs.load(std::memory_order_relaxed) != 0)
-                    continue;   // concurrently accessed: skip (API: gfsync)
-                SpinGuard guard(p.lock);
-                if (p.state.load(std::memory_order_acquire) != kPageReady)
-                    continue;
-                f = p.frame.load(std::memory_order_acquire);
-                PFrame &pf = arena.frame(f);
-                // Atomically TAKE the extent before writing back:
-                // ranges merged by concurrent writers after this point
-                // form a fresh extent synced by a later pass, so no
-                // dirty byte is ever lost.
-                uint64_t e = pf.takeDirtyExtent();
-                uint32_t lo = PFrame::extentLo(e);
-                uint32_t hi = PFrame::extentHi(e);
-                if (lo >= hi)
-                    continue;
-                bool wrote;
-                if constexpr (std::is_void_v<decltype(visit(
-                                  n->baseIdx + i, arena.data(f), lo,
-                                  hi))>) {
-                    visit(n->baseIdx + i, arena.data(f), lo, hi);
-                    wrote = true;
-                } else {
-                    wrote = visit(n->baseIdx + i, arena.data(f), lo, hi);
-                }
-                dirtyPages_.fetch_sub(1, std::memory_order_relaxed);
-                if (!wrote) {
-                    // Declined (range filter): put the extent back.
-                    if (pf.mergeDirty(lo, hi))
-                        dirtyPages_.fetch_add(1, std::memory_order_relaxed);
-                    continue;
-                }
-                ++visited;
-            }
-        }
-        return visited;
-    }
-
-    /**
      * Collect up to @p max_n dirty pages with index in [first_page,
      * last_page) for a batched write-back: each page's dirty extent is
      * atomically taken (leaving the page clean) and its fpage stays
@@ -451,11 +390,10 @@ class FileCache
      * beginInitBatch's lock-held-across-RPC protocol. The held lock
      * keeps eviction off the frame while the WritePages RPC reads it,
      * and makes a concurrent sync of the same page wait (then find
-     * only bytes written after our take), exactly as the per-page path
-     * serialized through writebackExtent under the fpage lock — it
-     * must never *report* an in-flight page as synced — pages whose
-     * extent an in-flight collector already took read as clean and
-     * are skipped here; durability callers run awaitWritebacks once
+     * only bytes written after our take). A sync must never *report*
+     * an in-flight page as synced: pages whose extent an in-flight
+     * collector already took read as clean and are skipped here;
+     * durability callers run awaitWritebacks once
      * after their take loop to wait those RPCs out. App-pinned pages
      * (refs != 0) are skipped, gfsync's "not concurrently accessed"
      * contract; lock-free readers/writers of Ready pages are NOT
@@ -487,8 +425,8 @@ class FileCache
      * in-range Ready page's lock guarantees that extents taken before
      * this call have reached the host. flushDirty runs it once after
      * its take loop, so sync callers never report bytes as synced that
-     * a concurrent collector (e.g. the async flusher) still has in
-     * flight.
+     * a concurrent collector (e.g. another block's dirty eviction)
+     * still has in flight.
      */
     void awaitWritebacks(uint64_t first_page, uint64_t last_page);
 
@@ -520,6 +458,10 @@ class FileCache
 
     /** Number of Ready pages (tests/benchmarks). */
     uint64_t residentPages() const;
+
+    /** True if any page is pinned — for a parked file, by a gmmap
+     *  mapping that outlived gclose. */
+    bool anyPinned() const;
 
     FrameArena &frameArena() { return arena; }
 

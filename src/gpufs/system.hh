@@ -12,13 +12,7 @@
 #ifndef GPUFS_GPUFS_SYSTEM_HH
 #define GPUFS_GPUFS_SYSTEM_HH
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "consistency/consistency.hh"
@@ -96,13 +90,10 @@ class GpufsSystem
             gpufs_[i]->setShardMap(&shardMap_);
             daemon_.setPeerSource(i, gpufs_[i].get());
         }
-        if (fs_params.asyncWriteback)
-            startFlusher(fs_params.flusherIntervalUs);
     }
 
     ~GpufsSystem()
     {
-        stopFlusher();      // flusher references gpufs_ and the daemon
         // Quiesce the WHOLE topology before destroying any instance:
         // one GPU's uncollected split-phase RPC may target another
         // GPU's frames (peer forwarding), so per-instance teardown
@@ -144,9 +135,6 @@ class GpufsSystem
         return shardMap_.rebalance(min_heat);
     }
 
-    /** True while the async write-back flusher thread is running. */
-    bool flusherRunning() const { return flusher_.joinable(); }
-
     /**
      * Crash-recovery restart: stop the daemon thread (as a crash or
      * power loss would), clear the fault plan's crashed latch, and
@@ -171,71 +159,9 @@ class GpufsSystem
         sim_.reset();
         for (auto &dev : devices_)
             dev->resetTime();
-        // The flusher's persisted clocks are virtual-time state too:
-        // left alone they would place its next drains far beyond the
-        // fresh phase's clocks. The generation bump makes an in-flight
-        // pass discard its (now stale) end time instead of writing it
-        // back over the reset.
-        std::lock_guard<std::mutex> lock(flusherMtx_);
-        std::fill(flusherClocks_.begin(), flusherClocks_.end(), Time{0});
-        ++flusherGen_;
     }
 
   private:
-    /**
-     * The async write-back daemon (GpuFsParams::asyncWriteback): a
-     * host thread that periodically runs every GpuFs instance's
-     * backgroundFlushPass, persisting a per-GPU virtual clock across
-     * passes so successive drains pipeline on the resource timelines.
-     * Clean-edge host fsyncs are deduplicated per file through
-     * CacheFile::needsFsync, which is also what lets a later gfsync
-     * burst skip its Fsync RPCs when the flusher already made the
-     * file durable. Stopped (and joined) before GpuFs/daemon teardown.
-     */
-    void
-    startFlusher(unsigned interval_us)
-    {
-        flusherRunning_.store(true, std::memory_order_release);
-        flusherClocks_.assign(gpufs_.size(), 0);
-        flusher_ = std::thread([this, interval_us] {
-            std::unique_lock<std::mutex> lock(flusherMtx_);
-            while (flusherRunning_.load(std::memory_order_acquire)) {
-                for (size_t i = 0; i < gpufs_.size(); ++i) {
-                    // Clocks are read and written only under
-                    // flusherMtx_ (resetTime zeroes them concurrently);
-                    // the pass itself runs unlocked, and its end time
-                    // is discarded if a reset happened meanwhile.
-                    Time start = flusherClocks_[i];
-                    uint64_t gen = flusherGen_;
-                    lock.unlock();
-                    Time end = gpufs_[i]->backgroundFlushPass(start);
-                    lock.lock();
-                    if (flusherGen_ == gen)
-                        flusherClocks_[i] = end;
-                }
-                flusherCv_.wait_for(
-                    lock, std::chrono::microseconds(interval_us),
-                    [this] {
-                        return !flusherRunning_.load(
-                            std::memory_order_acquire);
-                    });
-            }
-        });
-    }
-
-    void
-    stopFlusher()
-    {
-        if (!flusher_.joinable())
-            return;
-        {
-            std::lock_guard<std::mutex> lock(flusherMtx_);
-            flusherRunning_.store(false, std::memory_order_release);
-        }
-        flusherCv_.notify_all();
-        flusher_.join();
-    }
-
     sim::SimContext sim_;
     hostfs::HostFs hostFs_;
     consistency::ConsistencyMgr consistency_;
@@ -250,15 +176,6 @@ class GpufsSystem
     std::vector<std::unique_ptr<gpu::GpuDevice>> devices_;
     std::vector<rpc::RpcQueue *> queues_;
     std::vector<std::unique_ptr<GpuFs>> gpufs_;
-
-    std::thread flusher_;
-    std::atomic<bool> flusherRunning_{false};
-    std::mutex flusherMtx_;
-    std::condition_variable flusherCv_;
-    /** Per-GPU flusher virtual clocks; guarded by flusherMtx_. */
-    std::vector<Time> flusherClocks_;
-    /** Bumped by resetTime(); stale passes drop their end time. */
-    uint64_t flusherGen_ = 0;
 };
 
 } // namespace core

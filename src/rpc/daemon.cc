@@ -109,8 +109,6 @@ bool
 wellFormedWrite(const RpcRequest &req)
 {
     switch (req.op) {
-      case RpcOp::WriteBack:
-        return true;
       case RpcOp::PeerWritePages:
         if (req.pageLen == 0)
             return false;
@@ -143,12 +141,8 @@ writeRunsOf(const RpcRequest &req)
         else
             runs.push_back({off, len, data});
     };
-    if (req.op == RpcOp::WriteBack) {
-        add(req.offset, req.data, req.len);
-    } else {
-        for (unsigned i = 0; i < req.pageCount; ++i)
-            add(req.batchOff[i], req.batch[i], req.batchLen[i]);
-    }
+    for (unsigned i = 0; i < req.pageCount; ++i)
+        add(req.batchOff[i], req.batch[i], req.batchLen[i]);
     return runs;
 }
 
@@ -613,7 +607,6 @@ CpuDaemon::handle(unsigned port_idx, const RpcRequest &req)
         servePages(dev, &one, 1, t0, &resp);
         break;
       }
-      case RpcOp::WriteBack:
       case RpcOp::WritePages:
       case RpcOp::PeerWritePages:
         resp = applyWrites(dev, req, t0);
@@ -976,12 +969,9 @@ CpuDaemon::applyWrites(gpu::GpuDevice &dev, const RpcRequest &req, Time t0)
     // GPU pages -> staging: the whole request rides ONE D2H DMA
     // reservation (a single setup cost) — the per-request CPU overhead
     // was already charged once by the caller.
-    uint64_t total = req.len;
-    if (req.op != RpcOp::WriteBack) {
-        total = 0;
-        for (unsigned i = 0; i < req.pageCount; ++i)
-            total += req.batchLen[i];
-    }
+    uint64_t total = 0;
+    for (unsigned i = 0; i < req.pageCount; ++i)
+        total += req.batchLen[i];
     Time t = chargePcie(dev, PcieHop::GpuToStorage, total, t0);
     resp.done = t;
 

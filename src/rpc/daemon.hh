@@ -254,7 +254,7 @@ class CpuDaemon
                       unsigned k, Time t0, RpcResponse *resps);
 
     /**
-     * The one write-apply path (WriteBack, WritePages, PeerWritePages)
+     * The one write-apply path (WritePages, PeerWritePages)
      * after the CPU-overhead reservation ending at @p t0: one D2H DMA,
      * then writeRunsOf -> maybeJournal -> ONE backend writev -> victim
      * invalidation, then — PeerWritePages only — the owner mirror

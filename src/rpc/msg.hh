@@ -26,8 +26,7 @@ enum class RpcOp : uint32_t {
     Close,       ///< close host fd
     ReadPage,    ///< host file -> GPU buffer-cache page (H2D DMA)
     ReadPages,   ///< batched: one contiguous extent -> many pages
-    WriteBack,   ///< GPU page -> host file (D2H DMA), optional zero-diff
-    WritePages,  ///< batched: many page extents -> one gathered pwritev
+    WritePages,  ///< page extents -> one gathered pwritev, optional zero-diff
     /** Sharded multi-GPU: like ReadPages, but the daemon first tries
      *  to serve each page from the OWNER GPU's resident frames over
      *  the peer P2P DMA channel, reading from the host only for pages
@@ -107,11 +106,11 @@ struct RpcRequest {
      *  fsyncing the data file, when journaling is enabled. */
     bool durableBarrier = false;
 
-    int hostFd = -1;            ///< Close/ReadPage(s)/WriteBack/Fsync/Truncate
-    uint64_t offset = 0;        ///< ReadPage(s)/WriteBack/Truncate(new size)
-    uint64_t len = 0;           ///< ReadPage/WriteBack; Read/WritePages: total
-    uint8_t *data = nullptr;    ///< GPU page pointer for bulk ops
-    bool diffAgainstZeros = false;  ///< WriteBack: O_GWRONCE semantics
+    int hostFd = -1;            ///< Close/ReadPage(s)/WritePages/Fsync/Truncate
+    uint64_t offset = 0;        ///< ReadPage(s)/Truncate(new size)
+    uint64_t len = 0;           ///< ReadPage; Read/WritePages: total
+    uint8_t *data = nullptr;    ///< ReadPage: GPU page pointer
+    bool diffAgainstZeros = false;  ///< WritePages: O_GWRONCE semantics
 
     // ---- Batched ops ----
     // ReadPages: one contiguous file extent starting at `offset`,

@@ -377,45 +377,6 @@ TEST(AsyncIoTest, FsyncDedupSkipsRedundantHostFsyncs)
     sys->fs().gclose(ctx, fd);
 }
 
-TEST(AsyncIoTest, FlusherAdoptsResidualFsyncRange)
-{
-    // gfsync_async submits only 4 WritePages batches split-phase
-    // (64 pages); the rest of a huge dirty set used to drain
-    // synchronously at gwait. With adoption, the outstanding token
-    // raises the file's fsyncPending and the background flusher lifts
-    // its per-pass cap (4 batches = 64 pages) for that file — one pass
-    // drains the WHOLE residual, so gwait finds (almost) nothing left.
-    auto sys = makeSystem(16 * KiB, 64 * MiB);
-    auto ctx = test::makeBlock(sys->device(0));
-    int fd = sys->fs().gopen(ctx, "/big", G_RDWR | G_CREAT);
-    ASSERT_GE(fd, 0);
-    constexpr unsigned kPages = 200;
-    std::vector<uint8_t> page(16 * KiB, 0x42);
-    for (unsigned i = 0; i < kPages; ++i) {
-        ASSERT_EQ(int64_t(page.size()),
-                  sys->fs().gwrite(ctx, fd, uint64_t(i) * page.size(),
-                                   page.size(), page.data()));
-    }
-    IoToken tok = sys->fs().gfsync_async(ctx, fd);
-    ASSERT_TRUE(tok.valid());
-    // One manual flusher pass while the token is outstanding: the
-    // adopted drain must exceed the normal 64-page per-pass cap and
-    // cover the entire residual (200 dirty minus up to 64 in the
-    // submit-time split-phase batches).
-    sys->fs().backgroundFlushPass(ctx.now());
-    uint64_t adopted =
-        sys->fs().stats().counter("flusher_adopted_pages").get();
-    EXPECT_GE(adopted, uint64_t(kPages) - 4 * rpc::kMaxBatchPages);
-    EXPECT_GT(adopted, uint64_t(4 * rpc::kMaxBatchPages));
-    EXPECT_EQ(int64_t(0), sys->fs().gwait(ctx, tok));
-    // Token retired: the adoption mark is gone and a later pass is
-    // back under the normal cap (nothing dirty to drain anyway).
-    sys->fs().backgroundFlushPass(ctx.now());
-    EXPECT_EQ(adopted,
-              sys->fs().stats().counter("flusher_adopted_pages").get());
-    sys->fs().gclose(ctx, fd);
-}
-
 TEST(AsyncIoTest, ConcurrentBlocksDoubleBufferKeepDataIntact)
 {
     // Many blocks double-buffering disjoint ranges of one file while

@@ -58,6 +58,33 @@ TEST_F(DiffMergeTest, RoundtripStillWorks)
     sys->hostFs().close(hfd);
 }
 
+TEST_F(DiffMergeTest, FailedSyncKeepsBytesForTheRetry)
+{
+    // The diff folds the working bytes into the pristine copy before
+    // the WritePages RPC returns. A failed write must roll that fold
+    // back, or the retry diffs to nothing and reports Ok with the bytes
+    // never written.
+    test::addRamp(sys->hostFs(), "/f", 256 * KiB);
+    auto ctx = block(0);
+    int fd = sys->fs(0).gopen(ctx, "/f", G_RDWR);
+    ASSERT_GE(fd, 0);
+    std::vector<uint8_t> data(1000, 0x7E);
+    ASSERT_EQ(1000, sys->fs(0).gwrite(ctx, fd, 5000, 1000, data.data()));
+    sys->sim().faults.injectIoError(sim::FaultOp::HostWrite, 100);
+    EXPECT_EQ(Status::IoError, sys->fs(0).gfsync(ctx, fd));
+    sys->sim().faults.reset();
+    ASSERT_EQ(Status::Ok, sys->fs(0).gfsync(ctx, fd));
+    sys->fs(0).gclose(ctx, fd);
+
+    int hfd = sys->hostFs().open("/f", hostfs::O_RDONLY_F);
+    uint8_t b;
+    sys->hostFs().pread(hfd, &b, 1, 5500);
+    EXPECT_EQ(0x7E, b);
+    sys->hostFs().pread(hfd, &b, 1, 4999);
+    EXPECT_EQ(test::rampByte(4999), b);
+    sys->hostFs().close(hfd);
+}
+
 TEST_F(DiffMergeTest, TwoGpuWritersAdmittedConcurrently)
 {
     test::addRamp(sys->hostFs(), "/shared", 128 * KiB);

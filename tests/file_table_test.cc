@@ -452,7 +452,7 @@ struct PinnedTrace {
         std::map<std::string, uint64_t> out;
         auto fs_stats = sys->fs().stats().snapshot();
         for (const char *k : {"opens", "open_rpcs", "cache_misses",
-                              "pages_reclaimed", "drained_caches_collected"})
+                              "pages_reclaimed"})
             out[k] = fs_stats[k];
         auto d_stats = sys->daemon().stats().snapshot();
         for (const char *k : {"vc_inserts", "vc_hits", "vc_misses",
@@ -476,9 +476,6 @@ TEST(FileTableTest, SingleBlockTraceKeepsEveryDecision)
         {"open_rpcs", 428},
         {"cache_misses", 1060},
         {"pages_reclaimed", 736},
-        // Counts only the async flusher's collections (off here); the
-        // open path's collections show in the counts above.
-        {"drained_caches_collected", 0},
         {"vc_inserts", 736},
         {"vc_hits", 48},
         {"vc_misses", 1009},

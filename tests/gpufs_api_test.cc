@@ -489,6 +489,64 @@ TEST(GmmapPressure, EveryMapSucceedsThroughASmallArena)
     EXPECT_EQ(0u, bad_bytes.load());
 }
 
+// Regression: a page still gmmap'ed after gclose keeps its frame
+// pinned, so the parked entry's cache must survive until the mapping
+// goes. Recycling the entry, gunlink and a stale reopen each destroyed
+// it and aborted on the pinned page.
+TEST(MappedAfterClose, ParkedCacheWithAMappedPageIsKept)
+{
+    GpuFsParams p;
+    p.pageSize = 64 * KiB;
+    p.cacheBytes = 8 * MiB;
+    p.maxOpenFiles = 2;
+    GpufsSystem sys(1, p);
+    for (const char *path : {"/a", "/b", "/c", "/d"})
+        test::addRamp(sys.hostFs(), path, 64 * KiB);
+    auto ctx = test::makeBlock(sys.device(0));
+    GpuFs &fs = sys.fs();
+
+    int fa = fs.gopen(ctx, "/a", G_RDONLY);
+    ASSERT_GE(fa, 0);
+    uint64_t mapped = 0;
+    auto *pa = static_cast<uint8_t *>(fs.gmmap(ctx, fa, 0, 64, &mapped));
+    ASSERT_NE(nullptr, pa);
+    ASSERT_EQ(Status::Ok, fs.gclose(ctx, fa));
+    int fb = fs.gopen(ctx, "/b", G_RDONLY);
+    ASSERT_GE(fb, 0);
+    uint8_t byte = 0;
+    ASSERT_EQ(1, fs.gread(ctx, fb, 0, 1, &byte));
+    ASSERT_EQ(Status::Ok, fs.gclose(ctx, fb));
+
+    // Recycling skips /a, the oldest parked entry, and takes /b's slot;
+    // with /c open, nothing is left to recycle.
+    int fc = fs.gopen(ctx, "/c", G_RDONLY);
+    ASSERT_GE(fc, 0);
+    EXPECT_EQ(-int(Status::TooManyFiles), fs.gopen(ctx, "/d", G_RDONLY));
+
+    // gunlink cannot reclaim the mapped page's cache.
+    EXPECT_EQ(Status::Busy, fs.gunlink(ctx, "/a"));
+    EXPECT_EQ(Status::Ok, sys.hostFs().stat("/a", nullptr));
+
+    // A host write makes /a's parked cache stale: the reopen leaves it
+    // parked and opens into a fresh slot (/c's, once /c is closed).
+    int hfd = sys.hostFs().open("/a", hostfs::O_RDWR_F);
+    const uint8_t nv = uint8_t(~test::rampByte(0));
+    sys.hostFs().pwrite(hfd, &nv, 1, 0);
+    sys.hostFs().close(hfd);
+    ASSERT_EQ(Status::Ok, fs.gclose(ctx, fc));
+    fa = fs.gopen(ctx, "/a", G_RDONLY);
+    ASSERT_GE(fa, 0);
+    ASSERT_EQ(1, fs.gread(ctx, fa, 0, 1, &byte));
+    EXPECT_EQ(nv, byte);
+    EXPECT_EQ(test::rampByte(0), pa[0]);    // the mapping is untouched
+    ASSERT_EQ(Status::Ok, fs.gclose(ctx, fa));
+
+    // Unmapped, both parked /a entries go with the file.
+    ASSERT_EQ(Status::Ok, fs.gmunmap(ctx, pa));
+    EXPECT_EQ(Status::Ok, fs.gunlink(ctx, "/a"));
+    EXPECT_EQ(Status::NoEnt, sys.hostFs().stat("/a", nullptr));
+}
+
 } // namespace
 } // namespace core
 } // namespace gpufs

@@ -232,27 +232,32 @@ TEST_F(RadixTest, NoteDirtyGrowsExtentAndCountsOnce)
     cache.unpin(*cache.getPage(6));
 }
 
-TEST_F(RadixTest, ForEachDirtyVisitsAndClears)
+TEST_F(RadixTest, TakeDirtyBatchTakesEveryDirtyUnpinnedPage)
 {
     for (uint64_t i = 0; i < 3; ++i) {
         uint32_t f = fill(cache, i, uint8_t(i));
         cache.noteDirty(arena.frame(f), 0, 10);
         cache.unpin(*cache.getPage(i));
     }
-    unsigned visited = cache.forEachDirty(
-        [](uint64_t, uint8_t *, uint32_t, uint32_t) {});
-    EXPECT_EQ(3u, visited);
+    DirtyExtent ext[4];
+    unsigned n = cache.takeDirtyBatch(0, UINT64_MAX, ext, 4);
+    EXPECT_EQ(3u, n);
     EXPECT_EQ(0u, cache.dirtyCount());
-    EXPECT_EQ(0u, cache.forEachDirty(
-        [](uint64_t, uint8_t *, uint32_t, uint32_t) {}));
+    for (unsigned i = 0; i < n; ++i) {
+        EXPECT_EQ(0u, ext[i].lo);
+        EXPECT_EQ(10u, ext[i].hi);
+    }
+    cache.finishDirtyBatch(ext, n, /*restore=*/false);
+    EXPECT_EQ(0u, cache.takeDirtyBatch(0, UINT64_MAX, ext, 4));
 }
 
-TEST_F(RadixTest, ForEachDirtySkipsPinnedPages)
+TEST_F(RadixTest, TakeDirtyBatchSkipsPinnedPages)
 {
     uint32_t f = fill(cache, 0, 1);   // pinned
     cache.noteDirty(arena.frame(f), 0, 8);
-    EXPECT_EQ(0u, cache.forEachDirty(
-        [](uint64_t, uint8_t *, uint32_t, uint32_t) {}));
+    DirtyExtent ext[1];
+    EXPECT_EQ(0u, cache.takeDirtyBatch(0, UINT64_MAX, ext, 1));
+    EXPECT_EQ(1u, cache.dirtyCount());
     cache.unpin(*cache.getPage(0));
 }
 

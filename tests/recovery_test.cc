@@ -100,19 +100,12 @@ class RecoveryTest : public ::testing::Test
 
 TEST_F(RecoveryTest, CrashPointSweepNeverTearsAndKeepsAcknowledgedBytes)
 {
-    // Two columns. Batched write-back flushes the update as one
-    // WritePages txn, so the whole multi-page update is all-or-nothing.
-    // Per-page write-back (batchWriteback off) sends one WriteBack txn
-    // per page, so each PAGE is all-or-nothing. Both land in place
-    // through the same gathered pwritev, so every crash point fires in
-    // both columns.
-    for (bool batch : {true, false}) {
-      for (sim::CrashPoint cp : sim::kAllCrashPoints) {
-        SCOPED_TRACE(std::string(sim::crashPointName(cp)) +
-                     (batch ? " / batched" : " / per-page"));
-        GpuFsParams params = baseParams(true);
-        params.batchWriteback = batch;
-        sys = std::make_unique<GpufsSystem>(1, params);
+    // Write-back flushes the update as one WritePages txn, so the whole
+    // multi-page update is all-or-nothing, and every crash point fires
+    // on its gathered pwritev.
+    for (sim::CrashPoint cp : sim::kAllCrashPoints) {
+        SCOPED_TRACE(sim::crashPointName(cp));
+        sys = std::make_unique<GpufsSystem>(1, baseParams(true));
         auto ctx = test::makeBlock(sys->device(0));
 
         int fd = sys->fs().gopen(ctx, "/dur",
@@ -141,20 +134,12 @@ TEST_F(RecoveryTest, CrashPointSweepNeverTearsAndKeepsAcknowledgedBytes)
         // Acknowledged bytes survive, bit for bit.
         expectHostPages("/dur", 0, kPages, 0xA5, "U1 after recovery");
 
-        // The interrupted update is atomic per txn: all-new or all-old,
-        // never a mix. Batched: the file either grew to cover U2
-        // entirely (every byte the new stamp) or recovery discarded the
-        // torn txn and the file still ends at U1. Per-page: the file
-        // ends on a page boundary and every U2 page below it is new.
+        // The interrupted update is atomic: the file either grew to
+        // cover U2 entirely (every byte the new stamp) or recovery
+        // discarded the torn txn and the file still ends at U1.
         hostfs::FileInfo info;
         ASSERT_EQ(Status::Ok, sys->hostFs().stat("/dur", &info));
-        if (!batch) {
-            ASSERT_EQ(0u, info.size % kPage) << "torn page";
-            ASSERT_LE(info.size, uint64_t(2 * kPages) * kPage);
-            unsigned landed = static_cast<unsigned>(info.size / kPage);
-            expectHostPages("/dur", kPages, landed - kPages, 0x5C,
-                            "U2 pages after recovery");
-        } else if (info.size > uint64_t(kPages) * kPage) {
+        if (info.size > uint64_t(kPages) * kPage) {
             ASSERT_EQ(uint64_t(2 * kPages) * kPage, info.size)
                 << "partial size = torn update";
             expectHostPages("/dur", kPages, kPages, 0x5C,
@@ -175,7 +160,6 @@ TEST_F(RecoveryTest, CrashPointSweepNeverTearsAndKeepsAcknowledgedBytes)
         expectHostPages("/dur", kPages, kPages, 0x5C, "post-recovery");
         sys->fs().gclose(ctx, fd);
         sys.reset();
-      }
     }
 }
 

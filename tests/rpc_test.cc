@@ -200,11 +200,13 @@ TEST_F(RpcTest, WriteBackFullExtent)
     RpcResponse open = openFile("/w", hostfs::O_RDWR_F, true);
     std::vector<uint8_t> page(4096, 0xCD);
     RpcRequest req;
-    req.op = RpcOp::WriteBack;
+    req.op = RpcOp::WritePages;
     req.hostFd = open.hostFd;
-    req.offset = 0;
+    req.pageCount = 1;
+    req.batch[0] = page.data();
+    req.batchOff[0] = 0;
+    req.batchLen[0] = uint32_t(page.size());
     req.len = page.size();
-    req.data = page.data();
     RpcResponse resp = queue->call(req);
     ASSERT_EQ(Status::Ok, resp.status);
     EXPECT_EQ(4096u, resp.bytes);
@@ -227,11 +229,13 @@ TEST_F(RpcTest, DiffAgainstZerosPreservesOtherWritersBytes)
     for (int i = 100; i < 200; ++i)
         page[i] = 0x55;
     RpcRequest req;
-    req.op = RpcOp::WriteBack;
+    req.op = RpcOp::WritePages;
     req.hostFd = open.hostFd;
-    req.offset = 0;
+    req.pageCount = 1;
+    req.batch[0] = page.data();
+    req.batchOff[0] = 0;
+    req.batchLen[0] = uint32_t(page.size());
     req.len = page.size();
-    req.data = page.data();
     req.diffAgainstZeros = true;
     RpcResponse resp = queue->call(req);
     ASSERT_EQ(Status::Ok, resp.status);
@@ -263,11 +267,13 @@ TEST_F(RpcTest, GwronceWriteBackIsOneGatheredWrite)
     for (int i = 1000; i < 1100; ++i)
         page[i] = 0x22;
     RpcRequest req;
-    req.op = RpcOp::WriteBack;
+    req.op = RpcOp::WritePages;
     req.hostFd = open.hostFd;
-    req.offset = 0;
+    req.pageCount = 1;
+    req.batch[0] = page.data();
+    req.batchOff[0] = 0;
+    req.batchLen[0] = uint32_t(page.size());
     req.len = page.size();
-    req.data = page.data();
     req.diffAgainstZeros = true;
     req.issueTime = 0;
     RpcResponse resp = queue->call(req);

@@ -244,8 +244,7 @@ TEST_F(StressTest, PoisonedProviderDataIsContained)
 
 TEST_F(StressTest, AsyncMixedOpsUnderPagingKeepDataIntact)
 {
-    // The async twin of MixedOpsUnderPagingKeepDataIntact, with the
-    // write-back flusher racing the split-phase submissions: blocks
+    // The async twin of MixedOpsUnderPagingKeepDataIntact: blocks
     // keep several read/write tokens in flight, wait them out of
     // order, interleave sync wrappers (which harvest pending claims),
     // and close files with tokens outstanding. TSan runs this in CI.
@@ -253,8 +252,6 @@ TEST_F(StressTest, AsyncMixedOpsUnderPagingKeepDataIntact)
     p.pageSize = 16 * KiB;
     p.cacheBytes = 2 * MiB;         // heavy paging
     p.maxOpenFiles = 128;
-    p.asyncWriteback = true;        // flusher races the async ops
-    p.flusherIntervalUs = 50;
     sys = std::make_unique<GpufsSystem>(1, p);
     constexpr unsigned kFiles = 8;
     constexpr uint64_t kFileSize = 256 * KiB;

@@ -1,16 +1,15 @@
 /**
  * @file
- * Batched write-back (RpcOp::WritePages) and async-flusher tests:
- * multi-extent coalescing correctness, failure propagation through the
- * batched path, and the flusher's races against eviction and close.
+ * Batched write-back (RpcOp::WritePages) tests: multi-extent
+ * coalescing correctness, failure propagation through the batched
+ * path, dirty eviction racing writers under paging, and dirty closes
+ * drained by a later sync.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "gpufs/system.hh"
@@ -19,18 +18,6 @@
 namespace gpufs {
 namespace core {
 namespace {
-
-/** Poll @p cond (ms granularity) until true or ~5 s elapse. */
-bool
-eventually(const std::function<bool()> &cond)
-{
-    for (int i = 0; i < 5000; ++i) {
-        if (cond())
-            return true;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return cond();
-}
 
 /** Writable provider whose writes start failing once a fuse burns
  *  (and can be healed), for write-back failure injection. */
@@ -133,9 +120,8 @@ TEST_F(WritebackBatchTest, CoalescedExtentsLandAtRightOffsets)
     }
     ASSERT_EQ(Status::Ok, sys->fs().gfsync(ctx, fd));
 
-    // All 100 page extents rode batched WritePages RPCs, none the
-    // per-page path, and the batch factor is the full kMaxBatchPages.
-    EXPECT_EQ(0u, stat("writeback_rpcs"));
+    // All 100 page extents rode batched WritePages RPCs at the full
+    // kMaxBatchPages batch factor.
     EXPECT_EQ(kPages, stat("batch_write_pages"));
     EXPECT_EQ((kPages + rpc::kMaxBatchPages - 1) / rpc::kMaxBatchPages,
               stat("batch_write_rpcs"));
@@ -180,7 +166,6 @@ TEST_F(WritebackBatchTest, WronceZeroDiffRidesBatchedPath)
                                    chunk.data()));
     }
     ASSERT_EQ(Status::Ok, sys->fs().gfsync(ctx, fd));
-    EXPECT_EQ(0u, stat("writeback_rpcs"));
     EXPECT_GE(stat("batch_write_pages"), uint64_t(kPages));
 
     int hfd = sys->hostFs().open("/once", hostfs::O_RDONLY_F);
@@ -214,7 +199,6 @@ TEST_F(WritebackBatchTest, TruncateFlushesThroughBatchedPath)
     // pushed home (batched), pages beyond are dropped.
     ASSERT_EQ(Status::Ok, sys->fs().gftruncate(ctx, fd, 10 * kPage));
     EXPECT_GE(stat("batch_write_rpcs"), 1u);
-    EXPECT_EQ(0u, stat("writeback_rpcs"));
 
     hostfs::FileInfo info;
     ASSERT_EQ(Status::Ok, sys->hostFs().stat("/t", &info));
@@ -269,62 +253,15 @@ TEST_F(WritebackBatchTest, BatchedWritebackFailureRestoresDirtyPages)
 }
 
 // ---------------------------------------------------------------------
-// Async flusher
+// Dirty eviction and dirty close
 // ---------------------------------------------------------------------
 
-TEST_F(WritebackBatchTest, FlusherDrainsDirtyPagesWithoutSync)
-{
-    GpuFsParams p = baseParams();
-    p.asyncWriteback = true;
-    p.flusherIntervalUs = 100;
-    makeSystem(p);
-    ASSERT_TRUE(sys->flusherRunning());
-
-    auto ctx = test::makeBlock(sys->device(0));
-    int fd = sys->fs().gopen(ctx, "/bg", G_RDWR | G_CREAT);
-    ASSERT_GE(fd, 0);
-    std::vector<uint8_t> buf(kPage, 0x42);
-    for (unsigned pg = 0; pg < 24; ++pg) {
-        ASSERT_EQ(int64_t(kPage),
-                  sys->fs().gwrite(ctx, fd, uint64_t(pg) * kPage, kPage,
-                                   buf.data()));
-    }
-
-    // NO gfsync: the background flusher alone must land the bytes.
-    EXPECT_TRUE(eventually([&] {
-        hostfs::FileInfo info;
-        if (!ok(sys->hostFs().stat("/bg", &info)) ||
-            info.size < 24 * kPage) {
-            return false;
-        }
-        int hfd = sys->hostFs().open("/bg", hostfs::O_RDONLY_F);
-        if (hfd < 0)
-            return false;
-        bool all = true;
-        for (unsigned pg = 0; pg < 24 && all; ++pg) {
-            uint8_t b = 0;
-            sys->hostFs().pread(hfd, &b, 1, uint64_t(pg) * kPage + 7);
-            all = (b == 0x42);
-        }
-        sys->hostFs().close(hfd);
-        return all;
-    }));
-    // The bytes become host-visible mid-RPC, before the flush pass
-    // updates its counters — poll those too.
-    EXPECT_TRUE(eventually([&] {
-        return stat("flusher_pages") >= 24 && stat("flusher_drains") >= 1;
-    }));
-    sys->fs().gclose(ctx, fd);
-}
-
-TEST_F(WritebackBatchTest, FlusherVsEvictionRaceKeepsDataIntact)
+TEST_F(WritebackBatchTest, DirtyEvictionUnderPagingKeepsDataIntact)
 {
     GpuFsParams p;
     p.pageSize = kPage;
     p.cacheBytes = 2 * MiB;          // 128 frames: constant paging
     p.maxOpenFiles = 64;
-    p.asyncWriteback = true;
-    p.flusherIntervalUs = 50;
     makeSystem(p);
 
     constexpr unsigned kFiles = 8;
@@ -332,8 +269,9 @@ TEST_F(WritebackBatchTest, FlusherVsEvictionRaceKeepsDataIntact)
     for (unsigned f = 0; f < kFiles; ++f)
         test::addRamp(sys->hostFs(), "/in" + std::to_string(f), kFileSize);
 
-    // Readers force eviction (including of dirty pages) while writers
-    // dirty their own output files and the flusher drains concurrently.
+    // Readers force eviction (including of dirty pages, whose
+    // write-back races other blocks' writers and syncs) while writers
+    // dirty their own output files.
     std::atomic<uint64_t> errors{0};
     gpu::launch(sys->device(0), 24, 256, [&](gpu::BlockCtx &ctx) {
         GpuFs &fs = sys->fs();
@@ -389,18 +327,13 @@ TEST_F(WritebackBatchTest, FlusherVsEvictionRaceKeepsDataIntact)
     }
 }
 
-TEST_F(WritebackBatchTest, FlusherVsCloseRaceDrainsAndReleasesFds)
+TEST_F(WritebackBatchTest, DirtyClosesDrainAtSyncAndReleaseEveryFd)
 {
-    GpuFsParams p = baseParams();
-    p.asyncWriteback = true;
-    p.flusherIntervalUs = 50;
-    makeSystem(p);
-
+    makeSystem(baseParams());
     auto ctx = test::makeBlock(sys->device(0));
-    // Race close-with-dirty-pages against the flusher: each round
-    // leaves the file dirty at gclose (close does NOT sync, §3.2);
-    // the flusher must drain it, release the parked fd, and keep the
-    // data consistent for the next reopen.
+    // Each round leaves the file dirty at gclose (close does NOT sync,
+    // §3.2), so the parked entry keeps its host fd and the next open
+    // reuses its cache.
     for (int round = 0; round < 20; ++round) {
         int fd = sys->fs().gopen(ctx, "/churn", G_RDWR | G_CREAT);
         ASSERT_GE(fd, 0) << round;
@@ -413,12 +346,14 @@ TEST_F(WritebackBatchTest, FlusherVsCloseRaceDrainsAndReleasesFds)
         ASSERT_EQ(Status::Ok, sys->fs().gclose(ctx, fd));
     }
 
-    // Everything drained: the host file holds the last round's stamp
-    // and no host fd (or consistency claim) is left behind.
-    EXPECT_TRUE(eventually([&] {
-        return sys->fs().hostFdsHeld() == 0 &&
-            sys->hostFs().openCount() == 0;
-    }));
+    // Reopen and sync: the last round's stamp lands, and the clean
+    // close that follows leaves no host fd (or consistency claim).
+    int fd = sys->fs().gopen(ctx, "/churn", G_RDWR);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(Status::Ok, sys->fs().gfsync(ctx, fd));
+    ASSERT_EQ(Status::Ok, sys->fs().gclose(ctx, fd));
+    EXPECT_EQ(0u, sys->fs().hostFdsHeld());
+    EXPECT_EQ(0u, sys->hostFs().openCount());
     int hfd = sys->hostFs().open("/churn", hostfs::O_RDONLY_F);
     ASSERT_GE(hfd, 0);
     for (unsigned pg = 0; pg < 6; ++pg) {
@@ -427,38 +362,6 @@ TEST_F(WritebackBatchTest, FlusherVsCloseRaceDrainsAndReleasesFds)
         EXPECT_EQ(20u, b) << pg;
     }
     sys->hostFs().close(hfd);
-}
-
-TEST_F(WritebackBatchTest, FlusherCollectsDrainedClosedCaches)
-{
-    GpuFsParams p;
-    p.pageSize = kPage;
-    p.cacheBytes = 8 * kPage;        // tiny: reads of B evict A fully
-    p.asyncWriteback = true;
-    p.flusherIntervalUs = 50;
-    makeSystem(p);
-    test::addRamp(sys->hostFs(), "/a", 4 * kPage);
-    test::addRamp(sys->hostFs(), "/b", 32 * kPage);
-
-    auto ctx = test::makeBlock(sys->device(0));
-    int fa = sys->fs().gopen(ctx, "/a", G_RDONLY);
-    ASSERT_GE(fa, 0);
-    std::vector<uint8_t> buf(kPage);
-    for (unsigned pg = 0; pg < 4; ++pg)
-        sys->fs().gread(ctx, fa, uint64_t(pg) * kPage, kPage, buf.data());
-    sys->fs().gclose(ctx, fa);       // parked: cache retained
-
-    // Stream B through the tiny cache: A's closed clean pages are the
-    // first eviction tier and drain completely.
-    int fb = sys->fs().gopen(ctx, "/b", G_RDONLY);
-    ASSERT_GE(fb, 0);
-    for (unsigned pg = 0; pg < 32; ++pg)
-        sys->fs().gread(ctx, fb, uint64_t(pg) * kPage, kPage, buf.data());
-
-    // The flusher (not a later gopen) destroys the drained cache.
-    EXPECT_TRUE(eventually(
-        [&] { return stat("drained_caches_collected") >= 1; }));
-    sys->fs().gclose(ctx, fb);
 }
 
 } // namespace
