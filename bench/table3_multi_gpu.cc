@@ -47,6 +47,9 @@ struct RunStats {
     uint64_t hostPages = 0;         ///< pages fetched via host RPCs
     uint64_t peerForwarded = 0;     ///< pages served GPU-to-GPU
     uint64_t peerFallback = 0;      ///< non-owner misses host-served
+    /** Daemon-side host fallbacks by reason, indexed by rpc::PeerCopy
+     *  (the Served slot stays 0). */
+    uint64_t fallbackWhy[rpc::kPeerCopyOutcomes] = {};
     uint64_t raStreamsActive = 0;   ///< max live read-ahead streams
     uint64_t raStreamRecycles = 0;  ///< stream-table LRU recycles
     uint64_t coalescedRpcs = 0;     ///< ReadPages riding a gathered read
@@ -104,6 +107,11 @@ runGpus(const std::vector<ImageDbSpec> &dbs, uint32_t num_queries,
         out.raStreamsActive = std::max(
             out.raStreamsActive, st.counter("ra_streams_active").get());
         out.raStreamRecycles += st.counter("ra_stream_recycles").get();
+    }
+    for (unsigned r = 1; r < rpc::kPeerCopyOutcomes; ++r) {
+        out.fallbackWhy[r] = sys.daemon().stats().counter(
+            std::string("peer_fallback_") +
+            rpc::peerCopyName(static_cast<rpc::PeerCopy>(r))).get();
     }
     out.coalescedRpcs = sys.daemon().stats().counter("coalesced_rpcs").get();
     out.hostReadCalls = sys.daemon().stats().counter("host_read_calls").get();
@@ -211,6 +219,13 @@ runShardCompare(const char *label, bool planted, uint32_t num_queries,
                         sh.hostPages + sh.peerFallback),
                     static_cast<unsigned long long>(sh.peerForwarded),
                     100.0 * fwd_frac);
+        std::printf("#    sharded peer fallbacks by reason:");
+        for (unsigned r = 1; r < rpc::kPeerCopyOutcomes; ++r) {
+            std::printf(" %s %llu",
+                        rpc::peerCopyName(static_cast<rpc::PeerCopy>(r)),
+                        static_cast<unsigned long long>(sh.fallbackWhy[r]));
+        }
+        std::printf("\n");
         std::printf("#    per-GPU hit rate: private");
         for (unsigned i = 0; i < g; ++i)
             std::printf(" %.3f", pr.hitRate[i]);

@@ -22,7 +22,8 @@ namespace {
  * table's live caches — closed clean files (evictable with no GPU-CPU
  * communication), then open read-only files, then writable files as a
  * last resort. Within a file, frames go in the FIFO order of their
- * leaf nodes.
+ * leaf nodes; a sharded file gives up other GPUs' pages before its
+ * own.
  */
 class PaperTieredPolicy : public EvictionPolicy
 {
@@ -1101,7 +1102,32 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
                 gpufs_warn("eviction batch write-back failed: %s",
                            statusName(st));
         }
-        unsigned freed = f.cache->reclaim(n, allow_dirty, wb, demote);
+        // Owners keep their shards resident: a sharded file first gives
+        // up only the pages another GPU owns, which that owner can
+        // forward again over P2P, and its own pages (for which every
+        // peer miss would go to storage) only when those do not cover
+        // the request. A file that is one shard group (FileAffinity)
+        // has one owner, so there is nothing to order.
+        unsigned freed = 0;
+        if (shardedFile(f) && shards_->groupEnd(0) != UINT64_MAX) {
+            // Ownership is constant within a group: look it up once
+            // per group the walk enters.
+            uint64_t lo = 1, hi = 0;
+            bool own = false;
+            auto owned = [&](uint64_t idx) {
+                if (idx < lo || idx >= hi) {
+                    hi = shards_->groupEnd(idx);
+                    lo = hi - shards_->pagesPerGroup();
+                    own = shards_->ownerOf(f.ino, idx) == selfGpu();
+                }
+                return own;
+            };
+            freed = f.cache->reclaim(n, allow_dirty, owned, wb, demote);
+        }
+        if (freed < n) {
+            freed += f.cache->reclaim(n - freed, allow_dirty,
+                                      FileCache::keepNothing, wb, demote);
+        }
         if (freed != 0)
             noteEvictedParked(f);
         return freed;
@@ -1650,20 +1676,18 @@ BufferCache::submitReadAhead(gpu::BlockCtx &ctx, CacheFile &f,
     return fetches;
 }
 
-bool
+rpc::PeerCopy
 BufferCache::peerCopyResident(CacheFile &f, uint64_t page_idx,
                               uint8_t *dst, uint32_t *valid_out,
                               Time *ready_out)
 {
     if (!f.cache)
-        return false;
+        return rpc::PeerCopy::NoEntry;
     FileCache &c = *f.cache;
     FPage *p = c.findPage(page_idx);
-    if (!p)
-        return false;
     uint32_t frame;
-    if (!c.tryPinReady(*p, page_idx, &frame))
-        return false;
+    if (!p || !c.tryPinReady(*p, page_idx, &frame))
+        return rpc::PeerCopy::Cold;
     PFrame &pf = arena_.frame(frame);
     // Serve only pages whose bytes provably match the host copy:
     // clean, and holding exactly the valid count the file size
@@ -1680,7 +1704,7 @@ BufferCache::peerCopyResident(CacheFile &f, uint64_t page_idx,
     const uint32_t valid = pf.validBytes.load(std::memory_order_acquire);
     if (expect == 0 || valid != expect || pf.isDirty()) {
         c.unpin(*p);
-        return false;
+        return rpc::PeerCopy::Unclean;
     }
     // The pin (refs > 0) keeps owner-side eviction off the frame for
     // the duration of the copy — the owner-side analogue of the
@@ -1692,7 +1716,7 @@ BufferCache::peerCopyResident(CacheFile &f, uint64_t page_idx,
             *ready_out, pf.readyTime.load(std::memory_order_acquire));
     }
     c.unpin(*p);
-    return true;
+    return rpc::PeerCopy::Served;
 }
 
 bool

@@ -42,6 +42,7 @@
 #include "gpufs/radix.hh"
 #include "gpufs/readahead.hh"
 #include "gpufs/shard.hh"
+#include "rpc/peer.hh"
 #include "rpc/queue.hh"
 
 namespace gpufs {
@@ -185,7 +186,7 @@ struct CacheFile {
  * @p allow_dirty) and returns the number actually freed. A
  * @p frame_hint other than kNoFrame targets exactly that frame (at
  * most one page, identity-verified); kNoFrame takes the file's pages
- * in FIFO order.
+ * in FIFO order, a sharded file's pages other GPUs own before its own.
  */
 using EvictFn =
     std::function<unsigned(CacheFile &, bool allow_dirty, unsigned want,
@@ -545,9 +546,11 @@ class BufferCache
      * Declines pages whose valid byte count does not match the file
      * size (locally-written pages track content through the dirty
      * extent, not validBytes — the host copy is authoritative).
+     * @return Served, Cold (not resident or not Ready) or Unclean.
      */
-    bool peerCopyResident(CacheFile &f, uint64_t page_idx, uint8_t *dst,
-                          uint32_t *valid_out, Time *ready_out);
+    rpc::PeerCopy peerCopyResident(CacheFile &f, uint64_t page_idx,
+                                   uint8_t *dst, uint32_t *valid_out,
+                                   Time *ready_out);
 
     /** Daemon-side mirror of a written extent into a resident, Ready
      *  page (see RpcOp::PeerWritePages). Does NOT mark the page dirty:

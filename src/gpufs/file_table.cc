@@ -122,29 +122,42 @@ FileTable::slotsOfPath(const std::string &path) const
 }
 
 int
-FileTable::findClosedByIno(uint64_t ino) const
+FileTable::findClosedByIno(uint64_t ino, uint64_t version) const
 {
     auto it = byIno_.find(ino);
     if (it == byIno_.end())
         return -1;
+    int first = -1;
     for (int idx : it->second) {
-        if (entries_[idx]->state_ == OpenFile::EState::Closed)
+        const OpenFile &e = *entries_[idx];
+        if (e.state_ != OpenFile::EState::Closed)
+            continue;
+        if (e.cf.cache &&
+            e.cf.version.load(std::memory_order_relaxed) == version)
             return idx;
+        if (first < 0)
+            first = idx;
     }
-    return -1;
+    return first;
 }
 
 OpenFile *
-FileTable::findAnyByIno(uint64_t ino)
+FileTable::findAnyByIno(uint64_t ino, uint64_t version)
 {
     auto it = byIno_.find(ino);
     if (it == byIno_.end())
         return nullptr;
+    OpenFile *first = nullptr;
     for (int idx : it->second) {
-        if (entries_[idx]->cf.cache)
-            return entries_[idx].get();
+        OpenFile *e = entries_[idx].get();
+        if (!e->cf.cache)
+            continue;
+        if (e->cf.version.load(std::memory_order_acquire) == version)
+            return e;
+        if (!first)
+            first = e;
     }
-    return nullptr;
+    return first;
 }
 
 int

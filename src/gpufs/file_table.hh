@@ -172,10 +172,11 @@ struct OpenFile {
 /**
  * The fixed-capacity entry array, its state transitions and its lookup
  * indexes. Every lookup returns exactly the entry a linear scan of the
- * array would, i.e. the lowest matching slot; the indexes only make
- * finding it cheaper. They are updated by the three transition calls,
- * the only writers of OpenFile::state, so they can never disagree with
- * the entries. Thread-compatible: the owning GpuFs serializes access
+ * array would, i.e. the lowest matching slot (for the inode lookups,
+ * the lowest one at the asked version, else the lowest at any); the
+ * indexes only make finding it cheaper. They are updated by the three
+ * transition calls, the only writers of OpenFile::state, so they can
+ * never disagree with the entries. Thread-compatible: the owning GpuFs serializes access
  * with its table lock.
  */
 class FileTable
@@ -215,14 +216,19 @@ class FileTable
      *  (gunlink reclaims all of them). */
     std::vector<int> slotsOfPath(const std::string &path) const;
 
-    /** Index of the Closed entry caching inode @p ino, or -1. */
-    int findClosedByIno(uint64_t ino) const;
+    /** Index of the Closed entry caching inode @p ino with a live
+     *  cache at @p version, else of the lowest Closed entry for it
+     *  (stale), or -1. A stale entry still in use stays parked beside
+     *  the current one and must not hide it. */
+    int findClosedByIno(uint64_t ino, uint64_t version) const;
 
-    /** The Open OR Closed entry for inode @p ino with a live cache, or
-     *  null. The daemon's peer-cache probes use this: a parked entry's
+    /** The Open OR Closed entry for inode @p ino with a live cache at
+     *  @p version, else the lowest one with a live cache at any
+     *  version (for the caller's version gate to reject), or null.
+     *  The daemon's peer-cache probes use this: a parked entry's
      *  retained cache serves peer reads exactly like an open one
      *  (wait-after-close across GPUs). */
-    OpenFile *findAnyByIno(uint64_t ino);
+    OpenFile *findAnyByIno(uint64_t ino, uint64_t version);
 
     /** Index of the first Free entry, or -1. */
     int findFree() const;
@@ -262,8 +268,9 @@ class FileTable
 
   private:
     /** Ascending slots of the entries sharing one key. Almost always
-     *  one slot: only a stale cache parked under an unretired async
-     *  token leaves two entries for one inode. */
+     *  one slot: only a stale cache parked while still in use (an
+     *  unretired async token, or a mapping that outlived gclose)
+     *  leaves two entries for one inode. */
     using Slots = std::vector<int>;
 
     static void addSlot(Slots &slots, int idx);

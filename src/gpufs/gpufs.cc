@@ -97,9 +97,13 @@ GpuFs::~GpuFs()
     quiesce();
     // Tear down caches; entries with host fds cannot RPC here (the
     // daemon may already be gone), so host fds are abandoned — tests
-    // that care close everything first.
-    for (auto &e : table_.entries())
+    // that care close everything first. A gmmap mapping never
+    // unmapped still pins its page; it cannot outlive the system.
+    for (auto &e : table_.entries()) {
+        if (e->cf.cache)
+            e->cf.cache->releasePins();
         e->cf.cache.reset();
+    }
 }
 
 rpc::RpcResponse
@@ -215,7 +219,9 @@ GpuFs::gopen(gpu::BlockCtx &ctx, const std::string &path, uint32_t flags)
 
     // Closed-table check: reuse the retained page cache if the host's
     // version proves it is still current (lazy invalidation, §4.4).
-    int cidx = table_.findClosedByIno(resp.ino);
+    // The lookup prefers the current entry over a stale one left
+    // parked in a lower slot because it was still in use.
+    int cidx = table_.findClosedByIno(resp.ino, resp.version);
     if (cidx >= 0) {
         OpenFile &e = table_.at(cidx);
         if (e.cf.version.load(std::memory_order_relaxed) == resp.version &&
@@ -1104,21 +1110,21 @@ GpuFs::readAheadTracker(int fd)
 // (destroyEntryLocked runs under it); frame-level safety is the pin
 // peerCopyResident/peerMirrorResident take.
 
-bool
+rpc::PeerCopy
 GpuFs::peerCopyPage(uint64_t ino, uint64_t page_idx, uint64_t version,
                     uint8_t *dst, uint32_t *valid_out, Time *ready_out)
 {
     std::unique_lock<std::mutex> lock(tableMtx, std::try_to_lock);
     if (!lock.owns_lock())
-        return false;
-    OpenFile *e = table_.findAnyByIno(ino);
+        return rpc::PeerCopy::Busy;
+    OpenFile *e = table_.findAnyByIno(ino, version);
     if (!e)
-        return false;
+        return rpc::PeerCopy::NoEntry;
     // Version gate: serve only when this cache reflects exactly the
     // host content the requester expects — the peer path then provides
     // the same close-to-open consistency as the host path.
     if (e->cf.version.load(std::memory_order_acquire) != version)
-        return false;
+        return rpc::PeerCopy::Stale;
     return bc_.peerCopyResident(e->cf, page_idx, dst, valid_out,
                                 ready_out);
 }
@@ -1130,7 +1136,7 @@ GpuFs::peerMirrorExtent(uint64_t ino, uint64_t page_idx, uint64_t version,
     std::unique_lock<std::mutex> lock(tableMtx, std::try_to_lock);
     if (!lock.owns_lock())
         return false;
-    OpenFile *e = table_.findAnyByIno(ino);
+    OpenFile *e = table_.findAnyByIno(ino, version);
     if (!e)
         return false;
     if (e->cf.version.load(std::memory_order_acquire) != version)
@@ -1146,7 +1152,7 @@ GpuFs::peerAdoptPage(uint64_t ino, uint64_t page_idx, uint64_t version,
     std::unique_lock<std::mutex> lock(tableMtx, std::try_to_lock);
     if (!lock.owns_lock())
         return false;
-    OpenFile *e = table_.findAnyByIno(ino);
+    OpenFile *e = table_.findAnyByIno(ino, version);
     if (!e)
         return false;
     // Same version gate as the serve path: adopt only bytes this cache
@@ -1164,7 +1170,7 @@ GpuFs::peerPublishVersion(uint64_t ino, uint64_t old_version,
     std::unique_lock<std::mutex> lock(tableMtx, std::try_to_lock);
     if (!lock.owns_lock())
         return;     // next peer read just falls back (conservative)
-    OpenFile *e = table_.findAnyByIno(ino);
+    OpenFile *e = table_.findAnyByIno(ino, old_version);
     if (!e)
         return;
     // CAS from the pre-write version: if anything else moved the

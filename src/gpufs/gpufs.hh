@@ -188,9 +188,10 @@ class GpuFs : public rpc::PeerPageSource
      * all three use try-locks only and decline on any contention or
      * version mismatch (the host path is the always-correct fallback).
      */
-    bool peerCopyPage(uint64_t ino, uint64_t page_idx, uint64_t version,
-                      uint8_t *dst, uint32_t *valid_out,
-                      Time *ready_out) override;
+    rpc::PeerCopy peerCopyPage(uint64_t ino, uint64_t page_idx,
+                               uint64_t version, uint8_t *dst,
+                               uint32_t *valid_out,
+                               Time *ready_out) override;
     bool peerMirrorExtent(uint64_t ino, uint64_t page_idx,
                           uint64_t version, uint32_t in_page,
                           const uint8_t *src, uint32_t len) override;

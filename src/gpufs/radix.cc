@@ -438,5 +438,16 @@ FileCache::anyPinned() const
     return false;
 }
 
+void
+FileCache::releasePins()
+{
+    for (RadixNode *node = fifoTail.load(std::memory_order_acquire);
+         node != nullptr;
+         node = node->fifoPrev.load(std::memory_order_acquire)) {
+        for (unsigned i = 0; i < kRadixFanout; ++i)
+            node->pages[i].refs.store(0, std::memory_order_relaxed);
+    }
+}
+
 } // namespace core
 } // namespace gpufs

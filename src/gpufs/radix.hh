@@ -313,26 +313,41 @@ class FileCache
     {
     }
 
+    /** Keep-nothing predicate for reclaim: every evictable page is a
+     *  candidate. */
+    static bool
+    keepNothing(uint64_t)
+    {
+        return false;
+    }
+
     /**
-     * Reclaim up to @p want unpinned Ready pages, FIFO order (oldest
-     * leaf nodes first). Dirty pages are skipped unless @p allow_dirty,
-     * in which case @p writeback is invoked (under the fpage lock) with
+     * Reclaim up to @p want unpinned Ready pages in FIFO order: leaf
+     * nodes oldest-created first, pages in index order within a leaf.
+     * A leaf never moves once created, so on one file this takes the
+     * lowest page indices first whatever their reuse. Pages for which
+     * @p keep(page_idx) returns true are passed over (the sharded
+     * cache keeps the pages this GPU owns on a first walk). Dirty
+     * pages are skipped unless @p allow_dirty, in which case
+     * @p writeback is invoked (under the fpage lock) with
      * (page_idx, data, dirty_lo, dirty_hi) before the frame is freed.
      * @p demote is invoked (still under the fpage lock, after any
      * writeback, before the frame is recycled) with (page_idx, data,
      * valid_bytes) — the victim-tier demotion hook; the default drops
      * the bytes. @return pages actually freed.
      */
-    template <typename WbFn, typename DemoteFn>
+    template <typename KeepFn, typename WbFn, typename DemoteFn>
     unsigned
-    reclaim(unsigned want, bool allow_dirty, WbFn &&writeback,
-            DemoteFn &&demote)
+    reclaim(unsigned want, bool allow_dirty, KeepFn &&keep,
+            WbFn &&writeback, DemoteFn &&demote)
     {
         unsigned freed = 0;
         for (RadixNode *n = fifoTail.load(std::memory_order_acquire);
              n != nullptr && freed < want;
              n = n->fifoPrev.load(std::memory_order_acquire)) {
             for (unsigned i = 0; i < kRadixFanout && freed < want; ++i) {
+                if (keep(n->baseIdx + i))
+                    continue;
                 freed += tryEvictPage(n->pages[i], n->baseIdx + i,
                                       allow_dirty, writeback, demote);
             }
@@ -344,7 +359,8 @@ class FileCache
     unsigned
     reclaim(unsigned want, bool allow_dirty, WbFn &&writeback)
     {
-        return reclaim(want, allow_dirty, writeback, noDemote);
+        return reclaim(want, allow_dirty, keepNothing, writeback,
+                       noDemote);
     }
 
     /**
@@ -462,6 +478,11 @@ class FileCache
     /** True if any page is pinned — for a parked file, by a gmmap
      *  mapping that outlived gclose. */
     bool anyPinned() const;
+
+    /** Teardown only (GpuFs destruction, no block running): drop every
+     *  pin still held. What is left then are the pins of gmmap mappings
+     *  that outlive the system; they die with it. */
+    void releasePins();
 
     FrameArena &frameArena() { return arena; }
 

@@ -218,7 +218,8 @@ class ShardMap
 
     /** Rebalance state: heat histograms and ownership overrides, both
      *  behind one mutex; the atomic flag spares ownerOf the lock while
-     *  no override exists (the default). */
+     *  no override exists (the default). A leaf lock: reclaim calls
+     *  ownerOf under BufferCache's paging lock. */
     mutable std::mutex heatMtx_;
     mutable std::unordered_map<uint64_t, HeatEntry> heat_;
     std::unordered_map<uint64_t, unsigned> overrides_;

@@ -39,6 +39,11 @@ CpuDaemon::CpuDaemon(hostfs::HostFs &host_fs,
         tenantRpcs[t] =
             &stats_.counter("tenant" + std::to_string(t) + "_rpcs");
     }
+    for (unsigned r = 1; r < kPeerCopyOutcomes; ++r) {
+        peerFallback[r] = &stats_.counter(
+            std::string("peer_fallback_") +
+            peerCopyName(static_cast<PeerCopy>(r)));
+    }
     backend_ = storage::makeStorageBackend(storage::BackendKind::Buffered,
                                            fs, stats_);
 }
@@ -783,6 +788,8 @@ CpuDaemon::servePages(gpu::GpuDevice &dev, const RpcRequest *const *reqs,
         bool fromStorage = false;
         bool served[kMaxBatchPages] = {};
         uint32_t valid[kMaxBatchPages] = {};
+        /** PeerReadPages: why the owner did not serve each page. */
+        PeerCopy why[kMaxBatchPages] = {};
     };
     std::vector<Pages> pages(k);
 
@@ -814,10 +821,13 @@ CpuDaemon::servePages(gpu::GpuDevice &dev, const RpcRequest *const *reqs,
         pg.owner = peerSourceOf(req);
         uint64_t p2p_bytes = 0;
         Time p2p_ready = t0;
-        for (unsigned i = 0; pg.owner && i < pg.n; ++i) {
-            if (pg.owner->peerCopyPage(req.ino, req.offset / pg.plen + i,
-                                       req.version, pg.dst[i],
-                                       &pg.valid[i], &p2p_ready)) {
+        for (unsigned i = 0; i < pg.n; ++i) {
+            pg.why[i] = pg.owner
+                ? pg.owner->peerCopyPage(req.ino, req.offset / pg.plen + i,
+                                         req.version, pg.dst[i],
+                                         &pg.valid[i], &p2p_ready)
+                : PeerCopy::NoSource;
+            if (pg.why[i] == PeerCopy::Served) {
                 pg.served[i] = true;
                 p2p_bytes += pg.plen;
                 ++pg.forwarded;
@@ -948,6 +958,10 @@ CpuDaemon::servePages(gpu::GpuDevice &dev, const RpcRequest *const *reqs,
         if (reqs[m]->op == RpcOp::PeerReadPages) {
             peerPagesForwarded.inc(pg.forwarded);
             peerPagesHost.inc(pg.n - pg.forwarded);
+            for (unsigned i = 0; i < pg.n; ++i) {
+                if (pg.why[i] != PeerCopy::Served)
+                    peerFallback[unsigned(pg.why[i])]->inc();
+            }
         }
     }
     return Status::Ok;

@@ -166,6 +166,11 @@ class CpuDaemon
     Counter &peerReadRpcs;
     Counter &peerPagesForwarded;
     Counter &peerPagesHost;
+    /** peerPagesHost split by why the owner did not serve the page
+     *  (peer_fallback_busy, _no_entry, _stale, _cold, _unclean,
+     *  _no_source), indexed by PeerCopy; the Served slot is null.
+     *  The six sum to peer_pages_host_fallback. */
+    Counter *peerFallback[kPeerCopyOutcomes] = {};
     Counter &peerWriteRpcs;
     Counter &peerExtentsMirrored;
     /** Pages served to read-ahead (speculative) batches, as opposed to

@@ -30,6 +30,31 @@
 namespace gpufs {
 namespace rpc {
 
+/** Outcome of one peer page copy: Served, or why the page falls back
+ *  to the host path. */
+enum class PeerCopy : uint8_t {
+    Served,
+    Busy,       ///< the owner's table try-lock was contended
+    NoEntry,    ///< the owner has no cache entry for the inode
+    Stale,      ///< the owner's entry failed the version gate
+    Cold,       ///< the page is not resident, or not Ready
+    Unclean,    ///< dirty, or valid bytes do not match the file size
+    NoSource,   ///< the owner GPU has no attached source (daemon-side)
+};
+
+constexpr unsigned kPeerCopyOutcomes = 7;
+
+/** Short name of @p c. The daemon counts the pages of each fallback
+ *  reason as peer_fallback_<name>. */
+inline const char *
+peerCopyName(PeerCopy c)
+{
+    static const char *const kNames[kPeerCopyOutcomes] = {
+        "served", "busy", "no_entry", "stale", "cold", "unclean",
+        "no_source"};
+    return kNames[static_cast<unsigned>(c)];
+}
+
 class PeerPageSource
 {
   public:
@@ -47,11 +72,12 @@ class PeerPageSource
      * @param ready_out  maxed with the owner frame's DMA-ready time so
      *                   the peer transfer cannot begin, in virtual
      *                   time, before the content existed
-     * @return true iff the page was served.
+     * @return Served, or the reason the page was not served.
      */
-    virtual bool peerCopyPage(uint64_t ino, uint64_t page_idx,
-                              uint64_t version, uint8_t *dst,
-                              uint32_t *valid_out, Time *ready_out) = 0;
+    virtual PeerCopy peerCopyPage(uint64_t ino, uint64_t page_idx,
+                                  uint64_t version, uint8_t *dst,
+                                  uint32_t *valid_out,
+                                  Time *ready_out) = 0;
 
     /**
      * Mirror a written extent (@p len bytes at @p in_page within page

@@ -11,6 +11,7 @@
 #include "consistency/consistency.hh"
 #include "gpu/device.hh"
 #include "gpufs/buffer_cache.hh"
+#include "gpufs/shard.hh"
 #include "hostfs/hostfs.hh"
 #include "rpc/daemon.hh"
 #include "tests/testutil.hh"
@@ -56,6 +57,7 @@ class EvictionTest : public ::testing::Test
         rpc::RpcResponse resp = queue->call(req);
         ASSERT_EQ(Status::Ok, resp.status);
         f.hostFd = resp.hostFd;
+        f.ino = resp.ino;
         f.size.store(resp.size, std::memory_order_relaxed);
         f.version.store(resp.version, std::memory_order_relaxed);
         f.write = write;
@@ -168,6 +170,69 @@ TEST_F(EvictionTest, GlobalLruEvictsOldestAccessedPageFirst)
     EXPECT_FALSE(pageResident(f, 1));
     EXPECT_TRUE(pageResident(f, 2));
     EXPECT_TRUE(pageResident(f, 3));
+}
+
+// Owners keep their shards resident: on a sharded file the paper policy
+// takes the pages another GPU owns, in the file's FIFO order, while any
+// of them is evictable, and this GPU's own pages only after them. A
+// private file keeps the plain order, lowest page index first.
+TEST_F(EvictionTest, ShardedFileEvictsOtherGpusPagesFirst)
+{
+    constexpr uint64_t kPages = 16;
+    const ShardMap shards(ShardPolicy::HashPageGroup, 2, 2);
+    test::addRamp(fs, "/sharded", kPages * kPage);
+    test::addRamp(fs, "/private", kPages * kPage);
+    auto ctx = test::makeBlock(dev);
+
+    // Load every page with page @p pinned held pinned, then reclaim one
+    // frame at a time: the order the pages leave in.
+    auto evictionOrder = [&](const char *path, const ShardMap *map,
+                             uint64_t pinned) {
+        auto bc = makeCache(EvictionPolicyKind::PaperTiered, 2 * kPages);
+        bc->setShardMap(map);
+        CacheFile f;
+        openFile(*bc, f, path, false);
+        loadPages(*bc, ctx, f, kPages);
+        uint32_t frame;
+        FPage *fp;
+        EXPECT_EQ(Status::Ok,
+                  bc->pinPage(ctx, f, pinned, &frame, &fp, false));
+        std::vector<uint64_t> order;
+        std::vector<bool> gone(kPages, false);
+        while (bc->reclaimFrames(ctx, 1) == 1) {
+            for (uint64_t i = 0; i < kPages; ++i) {
+                if (!gone[i] && !pageResident(f, i)) {
+                    gone[i] = true;
+                    order.push_back(i);
+                }
+            }
+        }
+        EXPECT_TRUE(pageResident(f, pinned));
+        f.cache->unpin(*fp);
+        return order;
+    };
+
+    // This device is GPU 0. The pinned page is the first one GPU 1
+    // owns: the owned pages wait for every OTHER evictable one.
+    hostfs::FileInfo info;
+    ASSERT_EQ(Status::Ok, fs.stat("/sharded", &info));
+    std::vector<uint64_t> owned, others;
+    for (uint64_t i = 0; i < kPages; ++i)
+        (shards.ownerOf(info.ino, i) == 0 ? owned : others).push_back(i);
+    ASSERT_FALSE(owned.empty());
+    ASSERT_GE(others.size(), 2u);
+    const uint64_t pinned = others.front();
+    std::vector<uint64_t> expect(others.begin() + 1, others.end());
+    expect.insert(expect.end(), owned.begin(), owned.end());
+    EXPECT_EQ(expect, evictionOrder("/sharded", &shards, pinned));
+
+    // Private: the same steps evict in index order, skipping the pin.
+    expect.clear();
+    for (uint64_t i = 0; i < kPages; ++i) {
+        if (i != pinned)
+            expect.push_back(i);
+    }
+    EXPECT_EQ(expect, evictionOrder("/private", nullptr, pinned));
 }
 
 /** Every EvictionPolicyKind value. */

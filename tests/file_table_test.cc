@@ -60,26 +60,36 @@ struct ReferenceScan {
     }
 
     int
-    closedByIno(uint64_t ino) const
+    closedByIno(uint64_t ino, uint64_t version) const
     {
+        int first = -1;
         for (size_t i = 0; i < t.size(); ++i) {
             OpenFile &e = t.at(int(i));
-            if (e.state() == OpenFile::EState::Closed && e.ino == ino)
+            if (e.state() != OpenFile::EState::Closed || e.ino != ino)
+                continue;
+            if (e.cf.cache && e.cf.version.load() == version)
                 return int(i);
+            if (first < 0)
+                first = int(i);
         }
-        return -1;
+        return first;
     }
 
     OpenFile *
-    anyByIno(uint64_t ino) const
+    anyByIno(uint64_t ino, uint64_t version) const
     {
+        OpenFile *first = nullptr;
         for (size_t i = 0; i < t.size(); ++i) {
             OpenFile &e = t.at(int(i));
-            if (e.state() != OpenFile::EState::Free && e.ino == ino &&
-                e.cf.cache)
+            if (e.state() == OpenFile::EState::Free || e.ino != ino ||
+                !e.cf.cache)
+                continue;
+            if (e.cf.version.load() == version)
                 return &e;
+            if (!first)
+                first = &e;
         }
-        return nullptr;
+        return first;
     }
 
     int
@@ -167,6 +177,7 @@ class RandomTableTrace
         EXPECT_GT(recycles_, 0u);
         EXPECT_GT(drainedDestroys_, 0u);
         EXPECT_GT(staleDestroys_, 0u);
+        EXPECT_GT(versionPicks_, 0u);
     }
 
   private:
@@ -179,9 +190,10 @@ class RandomTableTrace
     FileTable table_{kEntries};
     ReferenceScan ref_{table_};
     std::vector<int> handles_;      // one per outstanding open
+    uint64_t hostVersion_[kInos + 2] = {};
     uint64_t closeSeq_ = 0;
     unsigned reopens_ = 0, recycles_ = 0, drainedDestroys_ = 0,
-             staleDestroys_ = 0;
+             staleDestroys_ = 0, versionPicks_ = 0;
 
     static std::string path(unsigned p) { return "/t/f" + std::to_string(p); }
     static uint64_t inoOf(unsigned p) { return 1 + p % kInos; }
@@ -211,16 +223,21 @@ class RandomTableTrace
             ++drainedDestroys_;
         }
         const uint64_t ino = inoOf(p);
-        int cidx = table_.findClosedByIno(ino);
+        if (rng_.nextBelow(4) == 0)
+            ++hostVersion_[ino];    // the host wrote the file
+        const uint64_t version = hostVersion_[ino];
+        int cidx = table_.findClosedByIno(ino, version);
         if (cidx >= 0) {
-            if (rng_.nextBelow(4) != 0) {   // host version unchanged
+            OpenFile &c = table_.at(cidx);
+            if (c.cf.cache && c.cf.version.load() == version) {
                 table_.markOpen(cidx, name, ino, G_RDWR);
                 handles_.push_back(cidx);
                 ++reopens_;
                 return;
             }
-            // Stale: drop it, unless an unretired token pins it.
-            if (table_.at(cidx).cf.opInFlight.load() == 0) {
+            // Stale: drop it, unless an unretired token pins it (it
+            // then stays parked beside the entry opened below).
+            if (c.cf.opInFlight.load() == 0) {
                 destroy(cidx);
                 ++staleDestroys_;
             } else {
@@ -239,6 +256,7 @@ class RandomTableTrace
         }
         OpenFile &e = table_.at(nidx);
         e.cf.cache = std::make_unique<FileCache>(arena_, counters_, false);
+        e.cf.version.store(version);
         table_.markOpen(nidx, name, ino, G_RDWR);
         handles_.push_back(nidx);
     }
@@ -331,8 +349,18 @@ class RandomTableTrace
             ASSERT_EQ(ref_.slotsOfPath(path(p)), table_.slotsOfPath(path(p)));
         }
         for (uint64_t ino = 0; ino <= kInos + 1; ++ino) {
-            ASSERT_EQ(ref_.closedByIno(ino), table_.findClosedByIno(ino));
-            ASSERT_EQ(ref_.anyByIno(ino), table_.findAnyByIno(ino));
+            // The current version, the one before it (stale parked
+            // entries) and one no entry holds.
+            const uint64_t hv = hostVersion_[ino];
+            for (uint64_t v = hv ? hv - 1 : 0; v <= hv + 1; ++v) {
+                ASSERT_EQ(ref_.closedByIno(ino, v),
+                          table_.findClosedByIno(ino, v));
+                ASSERT_EQ(ref_.anyByIno(ino, v), table_.findAnyByIno(ino, v));
+                // The version picked an entry above a lower stale one.
+                if (table_.findClosedByIno(ino, v) !=
+                    table_.findClosedByIno(ino, UINT64_MAX))
+                    ++versionPicks_;
+            }
         }
         ASSERT_EQ(ref_.firstFree(), table_.findFree());
         ASSERT_EQ(ref_.recyclable(), table_.pickRecyclable());

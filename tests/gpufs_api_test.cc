@@ -547,6 +547,76 @@ TEST(MappedAfterClose, ParkedCacheWithAMappedPageIsKept)
     EXPECT_EQ(Status::NoEnt, sys.hostFs().stat("/a", nullptr));
 }
 
+// The stale entry a mapping keeps parked sits in a lower slot than the
+// current entry parked after it; reopening must reuse the current one,
+// not count another invalidation and miss again.
+TEST(MappedAfterClose, StaleParkedEntryDoesNotHideTheCurrentOne)
+{
+    GpuFsParams p;
+    p.pageSize = 64 * KiB;
+    p.cacheBytes = 8 * MiB;
+    GpufsSystem sys(1, p);
+    test::addRamp(sys.hostFs(), "/a", 64 * KiB);
+    auto ctx = test::makeBlock(sys.device(0));
+    GpuFs &fs = sys.fs();
+    auto stat = [&](const char *n) { return fs.stats().counter(n).get(); };
+
+    // 1. Map a page of /a, then close it.
+    int fa = fs.gopen(ctx, "/a", G_RDONLY);
+    ASSERT_GE(fa, 0);
+    uint64_t mapped = 0;
+    void *pa = fs.gmmap(ctx, fa, 0, 64, &mapped);
+    ASSERT_NE(nullptr, pa);
+    ASSERT_EQ(Status::Ok, fs.gclose(ctx, fa));
+    // 2. Write /a on the host.
+    int hfd = sys.hostFs().open("/a", hostfs::O_RDWR_F);
+    const uint8_t nv = uint8_t(~test::rampByte(0));
+    sys.hostFs().pwrite(hfd, &nv, 1, 0);
+    sys.hostFs().close(hfd);
+    // 3. Reopen, read and close: the mapped stale entry stays parked,
+    //    and the read misses into a fresh one.
+    uint8_t byte = 0;
+    fa = fs.gopen(ctx, "/a", G_RDONLY);
+    ASSERT_GE(fa, 0);
+    ASSERT_EQ(1, fs.gread(ctx, fa, 0, 1, &byte));
+    EXPECT_EQ(nv, byte);
+    ASSERT_EQ(Status::Ok, fs.gclose(ctx, fa));
+    EXPECT_EQ(1u, stat("cache_invalidations"));
+    // 4. Reopen and read again: the entry parked in step 3 is current.
+    const uint64_t misses = stat("cache_misses");
+    fa = fs.gopen(ctx, "/a", G_RDONLY);
+    ASSERT_GE(fa, 0);
+    ASSERT_EQ(1, fs.gread(ctx, fa, 0, 1, &byte));
+    EXPECT_EQ(nv, byte);
+    EXPECT_EQ(misses, stat("cache_misses"));
+    EXPECT_EQ(1u, stat("cache_invalidations"));
+    ASSERT_EQ(Status::Ok, fs.gclose(ctx, fa));
+    ASSERT_EQ(Status::Ok, fs.gmunmap(ctx, pa));
+}
+
+// A mapping never unmapped dies with the system: teardown drops its pin
+// instead of aborting on a pinned page.
+TEST(MappedAfterClose, TeardownWithALiveMappingDoesNotAbort)
+{
+    GpuFsParams p;
+    p.pageSize = 64 * KiB;
+    p.cacheBytes = 8 * MiB;
+    {
+        GpufsSystem sys(1, p);
+        test::addRamp(sys.hostFs(), "/a", 64 * KiB);
+        auto ctx = test::makeBlock(sys.device(0));
+        int fa = sys.fs().gopen(ctx, "/a", G_RDONLY);
+        ASSERT_GE(fa, 0);
+        uint64_t mapped = 0;
+        auto *pa = static_cast<uint8_t *>(
+            sys.fs().gmmap(ctx, fa, 0, 64, &mapped));
+        ASSERT_NE(nullptr, pa);
+        EXPECT_EQ(test::rampByte(0), pa[0]);
+        ASSERT_EQ(Status::Ok, sys.fs().gclose(ctx, fa));
+    }
+    SUCCEED();
+}
+
 } // namespace
 } // namespace core
 } // namespace gpufs

@@ -648,16 +648,16 @@ class FixedPeerSource : public PeerPageSource
     FixedPeerSource(std::vector<uint64_t> held, uint64_t page)
         : held_(std::move(held)), page_(page) {}
 
-    bool
+    PeerCopy
     peerCopyPage(uint64_t, uint64_t page_idx, uint64_t, uint8_t *dst,
                  uint32_t *valid_out, Time *) override
     {
         if (std::find(held_.begin(), held_.end(), page_idx) == held_.end())
-            return false;
+            return PeerCopy::Cold;
         for (uint64_t i = 0; i < page_; ++i)
             dst[i] = test::rampByte(page_idx * page_ + i);
         *valid_out = static_cast<uint32_t>(page_);
-        return true;
+        return PeerCopy::Served;
     }
     bool
     peerMirrorExtent(uint64_t, uint64_t, uint64_t, uint32_t,
@@ -691,6 +691,7 @@ TEST_F(PageServiceTest, PeerFallbackGapsShareOneStorageRead)
     EXPECT_EQ(2u, resp.peerPages);
     expectRamp(0, 5, 0);
     EXPECT_EQ(3u, stat("peer_pages_host_fallback"));
+    EXPECT_EQ(3u, stat("peer_fallback_cold"));
     EXPECT_EQ(1u, stat("storage_reads"));
     daemon.setPeerSource(1, nullptr);
 }
