@@ -155,6 +155,68 @@ BM_GopenGcloseParked(benchmark::State &state)
 }
 BENCHMARK(BM_GopenGcloseParked)->Arg(128)->Arg(1024)->Arg(4096);
 
+/**
+ * BM_GopenGcloseParked on three threads at once, one block each, over
+ * disjoint sets of range(0) parked files in one GpufsSystem (one
+ * daemon). The blocks open different files but share the file table
+ * and the daemon, so a table lock held across an Open or Close RPC
+ * shows as each block's pair waiting for the others' round trips.
+ */
+void
+BM_GopenGcloseParkedThreads(benchmark::State &state)
+{
+    struct Shared {
+        std::unique_ptr<core::GpufsSystem> sys;
+        std::vector<std::unique_ptr<gpu::BlockCtx>> ctx;
+        std::vector<std::vector<std::string>> paths;
+    };
+    static Shared shared;
+    const unsigned parked = unsigned(state.range(0));
+    const int t = state.thread_index();
+    if (t == 0) {
+        const unsigned blocks = unsigned(state.threads());
+        core::GpuFsParams p;
+        p.pageSize = 4 * KiB;
+        p.cacheBytes = (blocks * parked + 64) * p.pageSize;
+        p.maxOpenFiles = blocks * parked + 16;
+        shared.sys = std::make_unique<core::GpufsSystem>(1, p);
+        shared.ctx.clear();
+        shared.paths.assign(blocks, {});
+        uint8_t byte;
+        for (unsigned b = 0; b < blocks; ++b) {
+            shared.ctx.push_back(std::make_unique<gpu::BlockCtx>(
+                shared.sys->device(0), b, blocks, 512, 0, 4096));
+            for (unsigned f = 0; f < parked; ++f) {
+                shared.paths[b].push_back("/parked/b" + std::to_string(b) +
+                                          "/f" + std::to_string(f));
+                shared.sys->hostFs().addFile(
+                    shared.paths[b].back(),
+                    std::make_unique<hostfs::InMemoryContent>(
+                        std::vector<uint8_t>(p.pageSize, uint8_t(f))),
+                    p.pageSize);
+                int fd = shared.sys->fs().gopen(
+                    *shared.ctx[b], shared.paths[b].back(), core::G_RDONLY);
+                shared.sys->fs().gread(*shared.ctx[b], fd, 0, 1, &byte);
+                shared.sys->fs().gclose(*shared.ctx[b], fd);
+            }
+        }
+    }
+    // Every thread enters the loop only after thread 0's setup.
+    size_t next = 0;
+    for (auto _ : state) {
+        core::GpuFs &fs = shared.sys->fs();
+        gpu::BlockCtx &ctx = *shared.ctx[size_t(t)];
+        const std::vector<std::string> &paths = shared.paths[size_t(t)];
+        int fd = fs.gopen(ctx, paths[next], core::G_RDONLY);
+        benchmark::DoNotOptimize(fs.gclose(ctx, fd));
+        next = next + 1 == paths.size() ? 0 : next + 1;
+    }
+    // Every thread has left the loop before any passes this point.
+    if (t == 0)
+        shared = Shared{};
+}
+BENCHMARK(BM_GopenGcloseParkedThreads)->Arg(128)->Threads(3)->UseRealTime();
+
 void
 BM_GsnprintfLine(benchmark::State &state)
 {

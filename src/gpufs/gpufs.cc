@@ -117,12 +117,20 @@ GpuFs::rpcCall(gpu::BlockCtx &ctx, rpc::RpcRequest &req)
 }
 
 void
-GpuFs::destroyEntryLocked(gpu::BlockCtx &ctx, int idx)
+GpuFs::closeHostFds(gpu::BlockCtx &ctx, std::vector<int> &host_fds)
+{
+    for (int host_fd : host_fds)
+        closeHostFd(ctx, host_fd);
+    host_fds.clear();
+}
+
+void
+GpuFs::destroyEntryLocked(int idx, std::vector<int> &closes)
 {
     OpenFile &entry = table_.at(idx);
     bc_.destroyFile(entry.cf);
     if (entry.cf.hostFd >= 0) {
-        closeHostFd(ctx, entry.cf.hostFd);
+        closes.push_back(entry.cf.hostFd);
         entry.cf.hostFd = -1;
     }
     table_.markFree(idx);
@@ -139,7 +147,7 @@ GpuFs::nextDrainedLocked()
 }
 
 int
-GpuFs::allocEntryLocked(gpu::BlockCtx &ctx)
+GpuFs::allocEntryLocked(gpu::BlockCtx &ctx, std::vector<int> &closes)
 {
     int idx = table_.findFree();
     if (idx >= 0)
@@ -152,13 +160,31 @@ GpuFs::allocEntryLocked(gpu::BlockCtx &ctx)
     OpenFile &victim = table_.at(idx);
     if (victim.cf.cache && victim.cf.cache->dirtyCount() > 0 &&
         !victim.nosync()) {
-        // Push dirty data home before discarding the cache.
+        // Push dirty data home before discarding the cache. This is
+        // the one RPC gopen still issues under the table lock: the
+        // entry must not be reopened or recycled by another block
+        // while its pages go home.
         Status wb_st = bc_.flushDirty(ctx, victim.cf);
         if (!ok(wb_st))
             gpufs_warn("write-back failed recycling entry: %s",
                        statusName(wb_st));
     }
-    destroyEntryLocked(ctx, idx);
+    destroyEntryLocked(idx, closes);
+    return idx;
+}
+
+int
+GpuFs::joinOpenLocked(int idx, uint32_t flags)
+{
+    OpenFile &e = table_.at(idx);
+    bool want_write = (flags & G_ACCMODE) != G_RDONLY
+        || (flags & G_GWRONCE);
+    if (want_write && !e.wantsWrite()) {
+        // Mode upgrade of a shared descriptor is outside the
+        // prototype's supported set.
+        return -static_cast<int>(Status::NotSupported);
+    }
+    e.refs.fetch_add(1, std::memory_order_relaxed);
     return idx;
 }
 
@@ -174,28 +200,25 @@ GpuFs::gopen(gpu::BlockCtx &ctx, const std::string &path, uint32_t flags)
     if (path.size() >= rpc::kMaxPath)
         return -static_cast<int>(Status::Inval);
 
-    auto lock = lockTable();
+    // The table lock is never held across the Open RPC or a Close RPC:
+    // other blocks' opens and closes, and the daemon's peer probes,
+    // would wait on the daemon. Host fds freed under the lock are
+    // closed after it, in the order the entries gave them up.
+    std::vector<int> closes;
+    {
+        auto lock = lockTable();
+        // Fast path: the file is already open — bump the reference
+        // count without CPU communication (§4.1).
+        int idx = table_.findOpenByPath(path);
+        if (idx >= 0)
+            return joinOpenLocked(idx, flags);
 
-    // Fast path: the file is already open — bump the reference count
-    // without CPU communication (§4.1).
-    int idx = table_.findOpenByPath(path);
-    if (idx >= 0) {
-        OpenFile &e = table_.at(idx);
-        bool want_write = (flags & G_ACCMODE) != G_RDONLY
-            || (flags & G_GWRONCE);
-        if (want_write && !e.wantsWrite()) {
-            // Mode upgrade of a shared descriptor is outside the
-            // prototype's supported set.
-            return -static_cast<int>(Status::NotSupported);
-        }
-        e.refs.fetch_add(1, std::memory_order_relaxed);
-        return idx;
+        // Slow path. First collect closed entries eviction has fully
+        // drained — their empty radix trees hold memory for nothing.
+        for (int di; (di = nextDrainedLocked()) >= 0;)
+            destroyEntryLocked(di, closes);
     }
-
-    // Slow path. First collect closed entries eviction has fully
-    // drained — their empty radix trees hold memory for nothing.
-    for (int di; (di = nextDrainedLocked()) >= 0;)
-        destroyEntryLocked(ctx, di);
+    closeHostFds(ctx, closes);
 
     // Open on the host.
     rpc::RpcRequest req;
@@ -217,6 +240,29 @@ GpuFs::gopen(gpu::BlockCtx &ctx, const std::string &path, uint32_t flags)
         return -static_cast<int>(resp.status);
     cntOpenRpcs.inc();
 
+    int fd = -1;
+    {
+        auto lock = lockTable();
+        fd = installOpenLocked(ctx, path, flags, resp, closes);
+    }
+    closeHostFds(ctx, closes);
+    return fd;
+}
+
+int
+GpuFs::installOpenLocked(gpu::BlockCtx &ctx, const std::string &path,
+                         uint32_t flags, const rpc::RpcResponse &resp,
+                         std::vector<int> &closes)
+{
+    // Another block opened the path while our Open RPC was out: join
+    // its entry exactly as the fast path would have, and give the
+    // host fd we no longer need back.
+    int idx = table_.findOpenByPath(path);
+    if (idx >= 0) {
+        closes.push_back(resp.hostFd);
+        return joinOpenLocked(idx, flags);
+    }
+
     // Closed-table check: reuse the retained page cache if the host's
     // version proves it is still current (lazy invalidation, §4.4).
     // The lookup prefers the current entry over a stale one left
@@ -232,7 +278,7 @@ GpuFs::gopen(gpu::BlockCtx &ctx, const std::string &path, uint32_t flags)
             if (old_fd >= 0) {
                 // The entry had kept its fd for dirty pages; the new
                 // claim is established, release the old one.
-                closeHostFd(ctx, old_fd);
+                closes.push_back(old_fd);
             }
             return cidx;
         }
@@ -243,14 +289,14 @@ GpuFs::gopen(gpu::BlockCtx &ctx, const std::string &path, uint32_t flags)
         // sweeps destroy it once it is released and drained.
         cntInvalidations.inc();
         if (!e.cf.inUse())
-            destroyEntryLocked(ctx, cidx);
+            destroyEntryLocked(cidx, closes);
         else
             cidx = -1;
     }
 
-    int nidx = cidx >= 0 ? cidx : allocEntryLocked(ctx);
+    int nidx = cidx >= 0 ? cidx : allocEntryLocked(ctx, closes);
     if (nidx < 0) {
-        closeHostFd(ctx, resp.hostFd);
+        closes.push_back(resp.hostFd);
         return -static_cast<int>(Status::TooManyFiles);
     }
     OpenFile &e = table_.at(nidx);
@@ -267,28 +313,32 @@ Status
 GpuFs::gclose(gpu::BlockCtx &ctx, int fd)
 {
     harvestBlock(ctx.blockId());
-    auto lock = lockTable();
-    Status st;
-    OpenFile *e = entryOf(fd, &st);
-    if (!e)
-        return st;
-    cntCloses.inc();
-    ctx.charge(1 * kMicrosecond);
-    // This block is done with the file: hand its read-ahead stream
-    // slot back (see ReadAheadStreams::release) so blocks launching
-    // behind it claim a free slot instead of LRU-evicting a live
-    // stream mid-scan. Every closer releases its own stream — the
-    // entry itself parks only on the last reference.
-    e->cf.ra.release(ctx.blockId());
-    if (e->refs.fetch_sub(1, std::memory_order_relaxed) > 1)
-        return Status::Ok;
+    int release_fd = -1;
+    {
+        auto lock = lockTable();
+        Status st;
+        OpenFile *e = entryOf(fd, &st);
+        if (!e)
+            return st;
+        cntCloses.inc();
+        ctx.charge(1 * kMicrosecond);
+        // This block is done with the file: hand its read-ahead stream
+        // slot back (see ReadAheadStreams::release) so blocks launching
+        // behind it claim a free slot instead of LRU-evicting a live
+        // stream mid-scan. Every closer releases its own stream — the
+        // entry itself parks only on the last reference.
+        e->cf.ra.release(ctx.blockId());
+        if (e->refs.fetch_sub(1, std::memory_order_relaxed) > 1)
+            return Status::Ok;
 
-    // Last close: park the entry (cache retained for reuse). Dirty data
-    // is NOT written back — close and sync are decoupled (§3.2); a
-    // clean cache releases the host fd (and consistency claim) now,
-    // a dirty one keeps it for future eviction write-back.
-    int release_fd = bc_.parkFile(e->cf, ++closeCounter);
-    table_.markClosed(fd);
+        // Last close: park the entry (cache retained for reuse). Dirty
+        // data is NOT written back — close and sync are decoupled
+        // (§3.2); a clean cache releases the host fd (and consistency
+        // claim), after the lock, and a dirty one keeps it for future
+        // eviction write-back.
+        release_fd = bc_.parkFile(e->cf, ++closeCounter);
+        table_.markClosed(fd);
+    }
     if (release_fd >= 0)
         closeHostFd(ctx, release_fd);
     return Status::Ok;
@@ -1007,6 +1057,8 @@ GpuFs::gunlink(gpu::BlockCtx &ctx, const std::string &path)
     if (path.size() >= rpc::kMaxPath)
         return Status::Inval;
     harvestBlock(ctx.blockId());
+    Status st = Status::Ok;
+    std::vector<int> closes;
     {
         auto lock = lockTable();
         // "Files unlinked on the GPU have their local buffer space
@@ -1014,15 +1066,20 @@ GpuFs::gunlink(gpu::BlockCtx &ctx, const std::string &path)
         for (int idx : table_.slotsOfPath(path)) {
             OpenFile &e = table_.at(idx);
             if (e.state() == OpenFile::EState::Closed) {
-                if (e.cf.inUse())
-                    return Status::Busy;
-                destroyEntryLocked(ctx, idx);
-            } else if (e.cf.cache) {
-                if (!bc_.dropPages(e.cf))
-                    return Status::Busy;
+                if (e.cf.inUse()) {
+                    st = Status::Busy;
+                    break;
+                }
+                destroyEntryLocked(idx, closes);
+            } else if (e.cf.cache && !bc_.dropPages(e.cf)) {
+                st = Status::Busy;
+                break;
             }
         }
     }
+    closeHostFds(ctx, closes);
+    if (!ok(st))
+        return st;
     rpc::RpcRequest req;
     req.op = rpc::RpcOp::Unlink;
     std::strncpy(req.path, path.c_str(), rpc::kMaxPath - 1);
@@ -1101,14 +1158,18 @@ GpuFs::readAheadTracker(int fd)
 // rpc::PeerPageSource: the daemon's view of this GPU's cache
 // ---------------------------------------------------------------------
 //
-// All three run on the DAEMON thread while this GPU's blocks keep
+// All four run on the DAEMON thread while this GPU's blocks keep
 // running. The table lock is TRY-taken only: a block of this GPU may
-// hold tableMtx across a synchronous RPC the daemon is queued to
-// service (gopen does exactly that), so blocking here is a deadlock
-// cycle — on contention the daemon simply falls back to the host path.
-// Holding tableMtx across the cache access pins the entry/cache object
-// (destroyEntryLocked runs under it); frame-level safety is the pin
-// peerCopyResident/peerMirrorResident take.
+// still hold tableMtx across a synchronous RPC the daemon is queued to
+// service (the dirty write-back of an entry gopen recycles, and
+// gftruncate's flush and Truncate), so blocking here could close a
+// deadlock cycle — on contention the daemon simply falls back to the
+// host path. gopen and gclose hold the lock only for table work, never
+// across their Open and Close RPCs, so on open/close-heavy kernels the
+// probe rarely finds it taken. Holding tableMtx across the cache access
+// pins the entry/cache object (destroyEntryLocked runs under it);
+// frame-level safety is the pin peerCopyResident/peerMirrorResident
+// take.
 
 rpc::PeerCopy
 GpuFs::peerCopyPage(uint64_t ino, uint64_t page_idx, uint64_t version,

@@ -359,6 +359,10 @@ class GpuFs : public rpc::PeerPageSource
     StatSet stats_;
     BufferCache bc_;
 
+    /** Guards table_ and closeCounter. Held for table work only:
+     *  gopen, gclose and gunlink issue their Open and Close RPCs after
+     *  dropping it (the exceptions are allocEntryLocked's dirty
+     *  write-back and gftruncate). */
     mutable std::mutex tableMtx;
     FileTable table_;
     uint64_t closeCounter = 0;
@@ -418,7 +422,8 @@ class GpuFs : public rpc::PeerPageSource
     /** Synchronous RPC from this block (submit, wait, advance clock). */
     rpc::RpcResponse rpcCall(gpu::BlockCtx &ctx, rpc::RpcRequest &req);
 
-    /** Close @p host_fd on the host (gopen/gclose bookkeeping). */
+    /** Close @p host_fd on the host (gopen/gclose bookkeeping; table
+     *  lock NOT held). */
     void
     closeHostFd(gpu::BlockCtx &ctx, int host_fd)
     {
@@ -428,12 +433,30 @@ class GpuFs : public rpc::PeerPageSource
         rpcCall(ctx, req);
     }
 
-    /** Destroy slot @p idx's cache, release its fd and free the slot
-     *  (table lock held). */
-    void destroyEntryLocked(gpu::BlockCtx &ctx, int idx);
+    /** closeHostFd each of @p host_fds in order, then clear the list. */
+    void closeHostFds(gpu::BlockCtx &ctx, std::vector<int> &host_fds);
 
-    /** Free slot, recycling the oldest closed entry if needed. */
-    int allocEntryLocked(gpu::BlockCtx &ctx);
+    /** Destroy slot @p idx's cache and free the slot (table lock
+     *  held). A host fd the entry still held is appended to @p closes
+     *  for the caller to close once it has dropped the lock. */
+    void destroyEntryLocked(int idx, std::vector<int> &closes);
+
+    /** Free slot, recycling the oldest closed entry if needed (a
+     *  recycled entry's host fd goes to @p closes). */
+    int allocEntryLocked(gpu::BlockCtx &ctx, std::vector<int> &closes);
+
+    /** gopen's fast path on the Open entry at @p idx: take a reference
+     *  unless @p flags ask for write access the entry lacks. @return
+     *  the fd, or -(int)Status::NotSupported. */
+    int joinOpenLocked(int idx, uint32_t flags);
+
+    /** gopen after its Open RPC @p resp (table lock held): join the
+     *  entry another block opened for @p path meanwhile, else reuse a
+     *  current parked cache, else take a fresh slot. Host fds to close
+     *  go to @p closes. @return the fd, or -(int)Status. */
+    int installOpenLocked(gpu::BlockCtx &ctx, const std::string &path,
+                          uint32_t flags, const rpc::RpcResponse &resp,
+                          std::vector<int> &closes);
 
     /** Lowest-slot Closed entry whose cache has drained, or -1 (table
      *  lock held; see FileTable::findDrainedClosed). */

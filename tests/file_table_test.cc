@@ -1,4 +1,5 @@
-/** @file Decision-identity tests for the indexed file table.
+/** @file Decision-identity tests for the indexed file table, and
+ *  for gopen/gclose running their host RPCs outside the table lock.
  *
  *  FileTable finds entries through indexes instead of scanning its
  *  array, and each lookup must return exactly the entry the scan did:
@@ -7,15 +8,23 @@
  *  against a reference linear scan kept here; (b) pins a deterministic
  *  single-block GpuFs trace (counters and virtual end time) to the
  *  values the scanning table produced; (c) churns three concurrent
- *  blocks through a small table. */
+ *  blocks through a small table; (d) answers a GpuFs's RPCs from a
+ *  test thread, holding Open RPCs back, to check that other blocks'
+ *  opens and closes proceed meanwhile and that racing opens of one
+ *  path end in one entry with every host fd closed. */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/rng.hh"
@@ -571,6 +580,413 @@ TEST(FileTableTest, ThreadedChurnThroughSmallTable)
         EXPECT_EQ(test::rampByte(100), b);
         EXPECT_EQ(Status::Ok, sys.fs().gclose(ctx, fd));
     }
+}
+
+// ---------------------------------------------------------------------
+// (d) Open and Close RPCs run outside the table lock
+// ---------------------------------------------------------------------
+
+/** Long enough that a call which is not blocked always finishes, even
+ *  under TSan on a loaded host. */
+constexpr auto kWait = std::chrono::seconds(5);
+
+/**
+ * A GpuFs on a bare RpcQueue whose host side is a thread of this
+ * fixture. Opens get a fresh host fd and the path's inode at version 1;
+ * Closes must name an fd an Open handed out. An Open of a held path
+ * waits until the test releases it, and every Open waits at least
+ * openDelay, so Opens of different blocks can overlap.
+ */
+class ScriptedHost
+{
+  public:
+    explicit ScriptedHost(std::chrono::microseconds open_delay =
+                              std::chrono::microseconds(0))
+        : openDelay_(open_delay), fs_(dev_, queue_, params())
+    {
+        server_ = std::thread([this] { serve(); });
+    }
+
+    ScriptedHost(const ScriptedHost &) = delete;
+    ScriptedHost &operator=(const ScriptedHost &) = delete;
+
+    ~ScriptedHost()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mtx_);
+            holds_.clear();
+            stop_ = true;
+        }
+        server_.join();
+    }
+
+    GpuFs &fs() { return fs_; }
+    gpu::BlockCtx block(unsigned id) { return test::makeBlock(dev_, id); }
+
+    /** Hold every Open of @p path until releaseOne or release. */
+    void
+    hold(const std::string &path)
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        holds_[path] = 0;
+    }
+
+    /** Answer the oldest held Open of @p path. */
+    void
+    releaseOne(const std::string &path)
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        ++holds_[path];
+    }
+
+    /** Answer every held Open of @p path and stop holding it. */
+    void
+    release(const std::string &path)
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        holds_.erase(path);
+    }
+
+    /** Wait until @p n Opens of @p path are held; false on timeout. */
+    bool
+    waitHeld(const std::string &path, size_t n)
+    {
+        std::unique_lock<std::mutex> lock(mtx_);
+        return cv_.wait_for(lock, kWait, [&] {
+            return heldCount(path) >= n;
+        });
+    }
+
+    unsigned
+    opens() const
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        return opens_;
+    }
+
+    /** Host fds handed out by Opens, in answer order. */
+    std::vector<int>
+    openedFds() const
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        return opened_;
+    }
+
+    /** Host fds named by Closes, in arrival order. */
+    std::vector<int>
+    closedFds() const
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        return closed_;
+    }
+
+    /** Host fds opened and not (yet) closed, plus Closes of fds that
+     *  were never opened or were already closed. */
+    size_t
+    unbalanced() const
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        return live_.size() + badCloses_;
+    }
+
+    /** Most Open RPCs the host held at once. */
+    size_t
+    peakOpensInFlight() const
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        return peakInFlight_;
+    }
+
+  private:
+    struct HeldOpen {
+        rpc::RpcSlot *slot;
+        std::chrono::steady_clock::time_point arrived;
+    };
+
+    static GpuFsParams
+    params()
+    {
+        GpuFsParams p;
+        p.pageSize = 4 * KiB;
+        p.cacheBytes = 64 * 4 * KiB;
+        p.maxOpenFiles = 4;
+        return p;
+    }
+
+    size_t
+    heldCount(const std::string &path) const
+    {
+        size_t n = 0;
+        for (const HeldOpen &h : held_)
+            n += path == h.slot->req.path;
+        return n;
+    }
+
+    /** The host thread: poll, park Opens, answer what may go. */
+    void
+    serve()
+    {
+        rpc::RpcSlot *batch[rpc::kQueueSlots];
+        for (;;) {
+            unsigned n = queue_.pollAll(batch, rpc::kQueueSlots);
+            std::vector<std::pair<rpc::RpcSlot *, rpc::RpcResponse>> answers;
+            bool done = false;
+            {
+                std::lock_guard<std::mutex> lock(mtx_);
+                const auto now = std::chrono::steady_clock::now();
+                for (unsigned i = 0; i < n; ++i) {
+                    if (batch[i]->req.op == rpc::RpcOp::Open)
+                        held_.push_back({batch[i], now});
+                    else
+                        answers.push_back({batch[i], answerLocked(*batch[i])});
+                }
+                peakInFlight_ = std::max(peakInFlight_, held_.size());
+                for (auto it = held_.begin(); it != held_.end();) {
+                    auto hold = holds_.find(it->slot->req.path);
+                    bool go = now - it->arrived >= openDelay_;
+                    if (hold != holds_.end()) {
+                        go = go && hold->second > 0;
+                        if (go)
+                            --hold->second;
+                    }
+                    if (go) {
+                        answers.push_back({it->slot, answerLocked(*it->slot)});
+                        it = held_.erase(it);
+                    } else {
+                        ++it;
+                    }
+                }
+                done = stop_ && held_.empty();
+            }
+            cv_.notify_all();
+            for (auto &[slot, resp] : answers)
+                rpc::RpcQueue::complete(*slot, resp);
+            if (done)
+                return;
+            if (n == 0 && answers.empty())
+                std::this_thread::sleep_for(std::chrono::microseconds(20));
+        }
+    }
+
+    rpc::RpcResponse
+    answerLocked(const rpc::RpcSlot &slot)
+    {
+        const rpc::RpcRequest &req = slot.req;
+        rpc::RpcResponse resp;
+        resp.done = req.issueTime + 2 * kMicrosecond;
+        if (req.op == rpc::RpcOp::Open) {
+            auto ino = inos_.emplace(req.path, inos_.size() + 1).first;
+            resp.hostFd = nextFd_++;
+            resp.ino = ino->second;
+            resp.size = 4 * KiB;
+            resp.version = 1;
+            ++opens_;
+            opened_.push_back(resp.hostFd);
+            live_.insert(resp.hostFd);
+        } else if (req.op == rpc::RpcOp::Close) {
+            closed_.push_back(req.hostFd);
+            badCloses_ += live_.erase(req.hostFd) == 0;
+        } else {
+            resp.status = Status::NotSupported;
+        }
+        return resp;
+    }
+
+    const std::chrono::microseconds openDelay_;
+    sim::SimContext sim_;
+    gpu::GpuDevice dev_{sim_, 0};
+    std::atomic<uint64_t> doorbell_{0};
+    rpc::RpcQueue queue_{doorbell_};
+    GpuFs fs_;
+
+    mutable std::mutex mtx_;
+    std::condition_variable cv_;
+    /** Held paths and how many of their Opens may be answered. */
+    std::map<std::string, unsigned> holds_;
+    std::deque<HeldOpen> held_;
+    std::map<std::string, uint64_t> inos_;
+    int nextFd_ = 100;
+    unsigned opens_ = 0;
+    std::vector<int> opened_, closed_;
+    std::set<int> live_;
+    size_t badCloses_ = 0;
+    size_t peakInFlight_ = 0;
+    bool stop_ = false;
+    std::thread server_;
+};
+
+/** True once @p done is set, false if @p kWait passes first. */
+bool
+finishes(const std::atomic<bool> &done)
+{
+    const auto until = std::chrono::steady_clock::now() + kWait;
+    while (!done.load()) {
+        if (std::chrono::steady_clock::now() > until)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+TEST(OpenOutsideTableLock, OtherBlocksOpenAndCloseWhileAnOpenRpcIsOut)
+{
+    ScriptedHost host;
+    GpuFs &fs = host.fs();
+    gpu::BlockCtx ctx_b = host.block(1);
+    const int fd_b = fs.gopen(ctx_b, "/b", G_RDONLY);
+    ASSERT_GE(fd_b, 0);
+
+    host.hold("/a");
+    int fd_a = -1;
+    std::thread a([&] {
+        gpu::BlockCtx ctx = host.block(0);
+        fd_a = fs.gopen(ctx, "/a", G_RDONLY);
+    });
+    const bool a_held = host.waitHeld("/a", 1);
+
+    // /b is open, so B's gopen takes the fast path and its gclose
+    // drops a reference: neither needs the host, only the table.
+    std::atomic<bool> b_done{false};
+    int fd_b2 = -1;
+    Status close_b = Status::Inval;
+    std::thread b([&] {
+        fd_b2 = fs.gopen(ctx_b, "/b", G_RDONLY);
+        close_b = fs.gclose(ctx_b, fd_b2);
+        b_done = true;
+    });
+    const bool b_finished = finishes(b_done);
+    host.release("/a");
+    a.join();
+    b.join();
+
+    ASSERT_TRUE(a_held);
+    EXPECT_TRUE(b_finished) << "B's fast-path gopen/gclose waited on A's "
+                               "Open RPC";
+    EXPECT_EQ(fd_b, fd_b2);
+    EXPECT_EQ(Status::Ok, close_b);
+    ASSERT_GE(fd_a, 0);
+    EXPECT_NE(fd_a, fd_b);
+    EXPECT_EQ(Status::Ok, fs.gclose(ctx_b, fd_b));
+    EXPECT_EQ(Status::Ok, fs.gclose(ctx_b, fd_a));
+    EXPECT_EQ(2u, host.opens());
+    EXPECT_EQ(0u, host.unbalanced());
+    EXPECT_EQ(0u, fs.hostFdsHeld());
+}
+
+TEST(OpenOutsideTableLock, RacingOpensOfOnePathShareOneEntry)
+{
+    ScriptedHost host;
+    GpuFs &fs = host.fs();
+    host.hold("/c");
+    int fds[2] = {-1, -1};
+    std::vector<std::thread> blocks;
+    for (unsigned b = 0; b < 2; ++b) {
+        blocks.emplace_back([&, b] {
+            gpu::BlockCtx ctx = host.block(b);
+            fds[b] = fs.gopen(ctx, "/c", G_RDONLY);
+        });
+    }
+    const bool both_out = host.waitHeld("/c", 2);
+    host.release("/c");
+    for (std::thread &t : blocks)
+        t.join();
+
+    EXPECT_TRUE(both_out) << "the second Open waited for the first";
+    ASSERT_GE(fds[0], 0);
+    EXPECT_EQ(fds[0], fds[1]);
+    // The block that lost the race closed its own host fd, and only
+    // that one: the entry keeps the other.
+    const std::vector<int> opened = host.openedFds();
+    ASSERT_EQ(2u, opened.size());
+    ASSERT_EQ(1u, host.closedFds().size());
+    const int surplus = host.closedFds()[0];
+    EXPECT_TRUE(surplus == opened[0] || surplus == opened[1]);
+    EXPECT_EQ(1u, fs.hostFdsHeld());
+
+    // refs 2: the first gclose keeps the entry open without the host.
+    gpu::BlockCtx ctx = host.block(0);
+    GStat st;
+    EXPECT_EQ(Status::Ok, fs.gclose(ctx, fds[0]));
+    EXPECT_EQ(Status::Ok, fs.gfstat(ctx, fds[0], &st));
+    EXPECT_EQ(1u, host.closedFds().size());
+    EXPECT_EQ(Status::Ok, fs.gclose(ctx, fds[1]));
+    EXPECT_EQ(Status::BadFd, fs.gfstat(ctx, fds[1], &st));
+    EXPECT_EQ(2u, host.closedFds().size());
+    EXPECT_EQ(0u, host.unbalanced());
+    EXPECT_EQ(0u, fs.hostFdsHeld());
+}
+
+TEST(OpenOutsideTableLock, RacingWriterOfReadOnlyEntryGetsNotSupported)
+{
+    ScriptedHost host;
+    GpuFs &fs = host.fs();
+    host.hold("/d");
+    int fd_ro = -1, fd_rw = -1;
+    std::thread reader([&] {
+        gpu::BlockCtx ctx = host.block(0);
+        fd_ro = fs.gopen(ctx, "/d", G_RDONLY);
+    });
+    const bool reader_out = host.waitHeld("/d", 1);
+    std::thread writer([&] {
+        gpu::BlockCtx ctx = host.block(1);
+        fd_rw = fs.gopen(ctx, "/d", G_RDWR);
+    });
+    const bool both_out = host.waitHeld("/d", 2);
+    // The reader's Open is answered first and installs a read-only
+    // entry; the writer then finds it and may not upgrade it.
+    host.releaseOne("/d");
+    reader.join();
+    host.release("/d");
+    writer.join();
+
+    ASSERT_TRUE(reader_out);
+    EXPECT_TRUE(both_out) << "the writer's Open waited for the reader's";
+    ASSERT_GE(fd_ro, 0);
+    EXPECT_EQ(-int(Status::NotSupported), fd_rw);
+    const std::vector<int> opened = host.openedFds();
+    ASSERT_EQ(2u, opened.size());
+    // The writer's fd (answered second) is closed; the entry keeps the
+    // reader's.
+    EXPECT_EQ(std::vector<int>{opened[1]}, host.closedFds());
+
+    gpu::BlockCtx ctx = host.block(0);
+    EXPECT_EQ(Status::Ok, fs.gclose(ctx, fd_ro));
+    EXPECT_EQ(0u, host.unbalanced());
+    EXPECT_EQ(0u, fs.hostFdsHeld());
+}
+
+TEST(OpenOutsideTableLock, ConcurrentOpenersCloseEveryHostFd)
+{
+    // Six paths through a four-entry table: opens join, race, reuse,
+    // collect drained entries and recycle, while each Open RPC stays
+    // out 200 us so other blocks' Opens overlap it.
+    constexpr unsigned kBlocks = 3, kOps = 150, kPaths = 6;
+    ScriptedHost host(std::chrono::microseconds(200));
+    GpuFs &fs = host.fs();
+    std::atomic<unsigned> failures{0};
+    std::vector<std::thread> blocks;
+    for (unsigned b = 0; b < kBlocks; ++b) {
+        blocks.emplace_back([&, b] {
+            gpu::BlockCtx ctx = host.block(b);
+            SplitMix64 rng(77 + b);
+            for (unsigned i = 0; i < kOps; ++i) {
+                std::string path =
+                    "/e" + std::to_string(rng.nextBelow(kPaths));
+                int fd = fs.gopen(ctx, path, G_RDONLY);
+                if (fd < 0 || fs.gclose(ctx, fd) != Status::Ok)
+                    failures.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread &t : blocks)
+        t.join();
+
+    EXPECT_EQ(0u, failures.load());
+    EXPECT_GE(host.peakOpensInFlight(), 2u)
+        << "one block's Open RPC kept the others' out";
+    EXPECT_EQ(host.opens(), host.closedFds().size());
+    EXPECT_EQ(0u, host.unbalanced());
+    EXPECT_EQ(0u, fs.hostFdsHeld());
 }
 
 } // namespace
