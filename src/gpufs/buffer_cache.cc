@@ -1,6 +1,7 @@
 #include "gpufs/buffer_cache.hh"
 
 #include <algorithm>
+#include <climits>
 #include <cstring>
 #include <unordered_map>
 
@@ -1208,13 +1209,13 @@ promoteIfSpeculative(FrameArena &arena, CacheCounters &counters,
 }
 
 /**
- * The prefetch stepping rule, shared by every read-ahead loop (sync
- * and split-phase, contiguous and strided): a page that is resident
- * or in flight (another block's fetch holds its lock) is hopped over
- * — under concurrent sequential readers most windows start on a
- * neighbour's in-flight page. @return false for anything else
- * (contended Empty page, arena exhausted), which ends the window —
- * prefetch must never page out on its own behalf.
+ * The prefetch stepping rule of the read-ahead loop (contiguous and
+ * strided windows alike): a page that is resident or in flight
+ * (another block's fetch holds its lock) is hopped over — under
+ * concurrent sequential readers most windows start on a neighbour's
+ * in-flight page. @return false for anything else (contended Empty
+ * page, arena exhausted), which ends the window — prefetch must never
+ * page out on its own behalf.
  */
 bool
 prefetchStepOver(FileCache &c, uint64_t idx)
@@ -1231,10 +1232,97 @@ prefetchStepOver(FileCache &c, uint64_t idx)
 
 } // namespace
 
+template <typename IssueFn>
+unsigned
+BufferCache::readAhead(gpu::BlockCtx &ctx, CacheFile &f, uint64_t run_first,
+                       uint64_t run_last, unsigned max_fetches,
+                       IssueFn &&issue)
+{
+    FileCache &c = *f.cache;
+    const uint64_t page_size = params_.pageSize;
+    const uint64_t fsize = f.size.load(std::memory_order_relaxed);
+    if (fsize == 0 || f.hostFd < 0 || f.wronce || max_fetches == 0)
+        return 0;
+    // Diff-and-merge pages must snapshot their pristine copy under the
+    // fetching pin (pinPage's slow path does that); a batch-published
+    // page has none, and its write-back would clobber other writers'
+    // merges — same exclusion as the split-phase demand fetches.
+    if (diffMergeActive(f))
+        return 0;
+    // One policy decision per demand miss — the requesting block's
+    // stream records the miss even when the granted window is 0 (that
+    // is how it detects the run that re-opens the window).
+    ReadAheadStreams::Decision plan = planReadAhead(
+        f, ctx.blockId(), run_first, run_last);
+    if (plan.window == 0)
+        return 0;
+    const uint64_t eof_page = (fsize + page_size - 1) / page_size;
+    // Clamp at radix capacity as well as EOF: getPage asserts on
+    // indices past maxPageIndex, and a huge file's tail window could
+    // otherwise step beyond it.
+    const uint64_t end_page =
+        std::min<uint64_t>(eof_page, FileCache::maxPageIndex() + 1);
+    PendingFetch pf;
+    pf.spec = true;
+    pf.specStream = plan.stream;
+    unsigned fetches = 0;
+    // Walk the window k = 1..window pages along the stride. A
+    // contiguous window goes in batches; a strided one a page per RPC,
+    // since fetching the gaps is exactly the waste adaptive read-ahead
+    // exists to avoid. `covered` is the last page fetched or stepped
+    // over.
+    uint64_t covered = run_last;
+    for (unsigned k = 1; k <= plan.window && fetches < max_fetches;) {
+        const int64_t sidx = static_cast<int64_t>(run_last) +
+            static_cast<int64_t>(k) * plan.stride;
+        if (sidx < 0)
+            break;      // backward scan reached the file head
+        const uint64_t idx = static_cast<uint64_t>(sidx);
+        if (idx >= end_page)
+            break;
+        unsigned max_n = 1;
+        if (plan.stride == 1) {
+            max_n = static_cast<unsigned>(std::min<uint64_t>(
+                {plan.window - k + 1, end_page - idx,
+                 rpc::kMaxBatchPages}));
+            // One owner per batch: clip the run at its shard-group
+            // boundary (the next batch re-evaluates the next group).
+            max_n = shardRunCap(f, idx, max_n);
+        }
+        // Claim reserve (see submitBatchFetch): prefetch never takes
+        // the frames synchronous pins would need to reclaim.
+        uint32_t free_frames = arena_.freeCount();
+        uint32_t reserve = claimReserve();
+        if (free_frames <= reserve)
+            break;
+        max_n = std::min(max_n, free_frames - reserve);
+        unsigned n = c.beginInitBatch(idx, max_n, pf.slots);
+        if (n == 0) {
+            if (!prefetchStepOver(c, idx))
+                break;
+            n = 1;      // hop the resident or in-flight page
+        } else {
+            pf.startIdx = idx;
+            pf.n = n;
+            if (!issue(pf, fetches))
+                break;
+            ++fetches;
+        }
+        covered = idx + n - 1;
+        k += n;
+    }
+    // Advance the stream past the covered span (prefetched or already
+    // resident): the next sequential miss lands one past the window
+    // and must read as a continuation, not a jump.
+    if (adaptiveReadAhead() && covered != run_last)
+        f.ra.advance(plan.stream, covered);
+    return fetches;
+}
+
 Status
 BufferCache::pinPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
                      uint32_t *frame_out, FPage **fpage_out,
-                     bool skip_fetch)
+                     bool skip_fetch, bool counted)
 {
     if (page_idx > FileCache::maxPageIndex())
         return Status::Inval;
@@ -1249,8 +1337,10 @@ BufferCache::pinPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
 
     uint32_t frame;
     if (c.tryPinReady(*p, page_idx, &frame)) {
-        cntCacheHits.inc();
-        cntLockfree.inc();
+        if (!counted) {
+            cntCacheHits.inc();
+            cntLockfree.inc();
+        }
         arena_.frame(frame).pinCount.fetch_add(
             1, std::memory_order_relaxed);
         promoteIfSpeculative(arena_, cacheCounters_, f, frame);
@@ -1312,22 +1402,32 @@ BufferCache::pinPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
         }
         if (!ok(st))
             return st;
-        cntLocked.inc();    // slow path held the fpage lock
         PFrame &pf = arena_.frame(frame);
         pf.pinCount.fetch_add(1, std::memory_order_relaxed);
         if (did_init) {
+            cntLocked.inc();    // slow path held the fpage lock
             cntCacheMisses.inc();
             ctx.charge(dev.simContext().params.pageMapOverhead);
         } else {
-            cntCacheHits.inc();
+            if (!counted) {
+                cntLocked.inc();
+                cntCacheHits.inc();
+            }
             ctx.charge(dev.simContext().params.cacheHitOverhead);
             promoteIfSpeculative(arena_, cacheCounters_, f, frame);
         }
         ctx.waitUntil(pf.readyTime.load(std::memory_order_acquire));
         *frame_out = frame;
         *fpage_out = p;
-        if (did_init && readAheadEnabled() && !skip_fetch && !f.wronce) {
-            readAheadFrom(ctx, f, page_idx);
+        if (did_init && readAheadEnabled() && !skip_fetch) {
+            // The pin path holds no uncollected queue slots, so each
+            // batch may wait for a slot, and is collected at once.
+            readAhead(ctx, f, page_idx, page_idx, UINT_MAX,
+                      [&](PendingFetch &batch, unsigned) {
+                          submitClaimedFetch(ctx, f, batch,
+                                             /*blocking=*/true);
+                          return ok(completeFetch(f, batch));
+                      });
         }
         return Status::Ok;
     }
@@ -1454,77 +1554,32 @@ BufferCache::completeFetch(CacheFile &f, PendingFetch &pf)
     return Status::Ok;
 }
 
-bool
-BufferCache::fetchBatch(gpu::BlockCtx &ctx, CacheFile &f,
-                        uint64_t start_idx, const BatchSlot *slots,
-                        unsigned n, bool spec, uint8_t stream)
-{
-    PendingFetch pf;
-    pf.startIdx = start_idx;
-    pf.n = n;
-    pf.single = false;
-    pf.spec = spec;
-    pf.specStream = stream;
-    std::copy(slots, slots + n, pf.slots);
-    // The synchronous path holds no uncollected slots, so blocking for
-    // a queue slot is safe here (and is the pre-async behavior).
-    submitClaimedFetch(ctx, f, pf, /*blocking=*/true);
-    return ok(completeFetch(f, pf));
-}
-
-bool
-BufferCache::submitPageFetch(gpu::BlockCtx &ctx, CacheFile &f,
-                             uint64_t page_idx, PendingFetch *out)
-{
-    if (!f.cache || f.wronce || f.hostFd < 0 ||
-        page_idx > FileCache::maxPageIndex()) {
-        return false;   // no host-fetch path: resolve pins handle it
-    }
-    // Diff-and-merge pages must snapshot a pristine copy under the
-    // fetching pin (pinPage's slow path does that); a split-phase
-    // publish without one would turn merges into clobbering writes.
-    if (diffMergeActive(f))
-        return false;
-    // Claim reserve: split-phase claims are unreclaimable until their
-    // collector runs, so a wave of submitters must not eat the arena's
-    // last frames — synchronous pins (and other blocks' resolutions)
-    // need reclaimable headroom. Under pressure the page simply
-    // resolves synchronously at wait.
-    if (arena_.freeCount() <= claimReserve())
-        return false;
-    // No reclaim attempt here (the sync miss path's retry loop): a
-    // reclaim can write back dirty pages through a BLOCKING RPC, and
-    // a split-phase submitter may already hold uncollected queue
-    // slots — the deadlock cycle trySubmit exists to prevent. An
-    // unclaimable page simply resolves synchronously at wait, where
-    // the block holds nothing.
-    if (f.cache->beginInitBatch(page_idx, 1, out->slots) == 1) {
-        out->startIdx = page_idx;
-        out->n = 1;
-        out->single = true;
-        out->spec = false;
-        return submitClaimedFetch(ctx, f, *out, /*blocking=*/false);
-    }
-    return false;
-}
-
 unsigned
 BufferCache::submitBatchFetch(gpu::BlockCtx &ctx, CacheFile &f,
                               uint64_t start_idx, unsigned max_n,
-                              PendingFetch *out)
+                              PendingFetch *out, bool single)
 {
+    gpufs_assert(!single || max_n == 1, "ReadPage carries one page");
     if (!f.cache || f.wronce || f.hostFd < 0 ||
         start_idx > FileCache::maxPageIndex()) {
-        return 0;
+        return 0;   // no host-fetch path: resolve pins handle it
     }
     if (diffMergeActive(f))
         return 0;   // pristine snapshot needed: stay on the sync path
     max_n = std::min(max_n, rpc::kMaxBatchPages);
     // One owner per batch: clip the run at its shard-group boundary.
     max_n = shardRunCap(f, start_idx, max_n);
-    // Claim reserve (see submitPageFetch): shrink the run to what the
-    // arena can give without starving synchronous pins. As there, no
-    // reclaim attempt — submission must never block on an RPC.
+    // Claim reserve: split-phase claims are unreclaimable until their
+    // collector runs, so a wave of submitters must not eat the arena's
+    // last frames — synchronous pins (and other blocks' resolutions)
+    // need reclaimable headroom. Shrink the run to what the arena can
+    // give; under pressure the pages simply resolve synchronously at
+    // wait. No reclaim attempt here (the sync miss path's retry loop)
+    // either: a reclaim can write back dirty pages through a BLOCKING
+    // RPC, and a split-phase submitter may already hold uncollected
+    // queue slots — the deadlock cycle trySubmit exists to prevent. An
+    // unclaimable page resolves synchronously at wait, where the block
+    // holds nothing.
     uint32_t free_frames = arena_.freeCount();
     uint32_t reserve = claimReserve();
     if (free_frames <= reserve)
@@ -1535,7 +1590,7 @@ BufferCache::submitBatchFetch(gpu::BlockCtx &ctx, CacheFile &f,
         return 0;
     out->startIdx = start_idx;
     out->n = n;
-    out->single = false;
+    out->single = single;
     out->spec = false;
     return submitClaimedFetch(ctx, f, *out, /*blocking=*/false) ? n : 0;
 }
@@ -1569,111 +1624,14 @@ BufferCache::submitReadAhead(gpu::BlockCtx &ctx, CacheFile &f,
                              uint64_t run_first, uint64_t run_last,
                              PendingFetch *out, unsigned max_fetches)
 {
-    FileCache &c = *f.cache;
-    const uint64_t page_size = params_.pageSize;
-    const uint64_t fsize = f.size.load(std::memory_order_relaxed);
-    if (fsize == 0 || f.hostFd < 0 || f.wronce || max_fetches == 0)
-        return 0;
-    // Diff-and-merge pages must snapshot their pristine copy under the
-    // fetching pin (pinPage's slow path does that); a batch-published
-    // page has none, and its write-back would clobber other writers'
-    // merges — same exclusion as the split-phase demand paths.
-    if (diffMergeActive(f))
-        return 0;
-    // One policy decision per demand miss — the requesting block's
-    // stream records the miss even when the granted window is 0 (that
-    // is how it detects the run that re-opens the window).
-    ReadAheadStreams::Decision plan = planReadAhead(
-        f, ctx.blockId(), run_first, run_last);
-    if (plan.window == 0)
-        return 0;
-    const uint64_t eof_page = (fsize + page_size - 1) / page_size;
-    unsigned fetches = 0;
-
-    if (plan.stride != 1) {
-        // Strided pattern: prefetch the pages the stride predicts, one
-        // page per RPC — fetching the gaps is exactly the waste
-        // adaptive read-ahead exists to avoid.
-        uint64_t covered = run_last;
-        for (unsigned k = 1;
-             k <= plan.window && fetches < max_fetches; ++k) {
-            int64_t sidx = static_cast<int64_t>(run_last) +
-                static_cast<int64_t>(k) * plan.stride;
-            if (sidx < 0)
-                break;      // backward scan reached the file head
-            uint64_t idx = static_cast<uint64_t>(sidx);
-            if (idx >= eof_page || idx > FileCache::maxPageIndex())
-                break;
-            if (arena_.freeCount() <= claimReserve())
-                break;
-            PendingFetch &pf = out[fetches];
-            if (c.beginInitBatch(idx, 1, pf.slots) == 0) {
-                if (prefetchStepOver(c, idx)) {
-                    covered = idx;
-                    continue;
-                }
-                break;
-            }
-            pf.startIdx = idx;
-            pf.n = 1;
-            pf.single = false;
-            pf.spec = true;
-            pf.specStream = plan.stream;
-            if (!submitClaimedFetch(ctx, f, pf, /*blocking=*/false))
-                break;
-            ++fetches;
-            covered = idx;
-        }
-        if (adaptiveReadAhead() && covered != run_last)
-            f.ra.advance(plan.stream, covered);
-        return fetches;
-    }
-
-    // Clamp at radix capacity as well as EOF: getPage asserts on
-    // indices past maxPageIndex, and a huge file's tail window could
-    // otherwise step beyond it.
-    const uint64_t end = std::min<uint64_t>(
-        std::min<uint64_t>(run_last + 1 + plan.window, eof_page),
-        FileCache::maxPageIndex() + 1);
-    uint64_t idx = run_last + 1;
-    while (idx < end && fetches < max_fetches) {
-        unsigned max_n = static_cast<unsigned>(
-            std::min<uint64_t>(end - idx, rpc::kMaxBatchPages));
-        // One owner per batch: clip the run at its shard-group
-        // boundary (the next iteration re-evaluates the next group).
-        max_n = shardRunCap(f, idx, max_n);
-        // Claim reserve (see submitPageFetch): prefetch never takes
-        // the frames synchronous pins would need to reclaim.
-        uint32_t free_frames = arena_.freeCount();
-        uint32_t reserve = claimReserve();
-        if (free_frames <= reserve)
-            break;
-        max_n = std::min(max_n, free_frames - reserve);
-        PendingFetch &pf = out[fetches];
-        unsigned n = c.beginInitBatch(idx, max_n, pf.slots);
-        if (n == 0) {
-            if (prefetchStepOver(c, idx)) {
-                ++idx;
-                continue;
-            }
-            break;
-        }
-        pf.startIdx = idx;
-        pf.n = n;
-        pf.single = false;
-        pf.spec = true;
-        pf.specStream = plan.stream;
-        if (!submitClaimedFetch(ctx, f, pf, /*blocking=*/false))
-            break;      // queue full: claim rolled back, stop prefetch
-        ++fetches;
-        idx += n;
-    }
-    // Advance the stream past the covered span (prefetched or already
-    // resident): the next sequential miss lands one past the window
-    // and must read as a continuation, not a jump.
-    if (adaptiveReadAhead() && idx > run_last + 1)
-        f.ra.advance(plan.stream, idx - 1);
-    return fetches;
+    // Split-phase: each batch goes out non-blocking (the submitter may
+    // hold uncollected slots) and stays in flight in out[i].
+    return readAhead(ctx, f, run_first, run_last, max_fetches,
+                     [&](const PendingFetch &batch, unsigned i) {
+                         out[i] = batch;
+                         return submitClaimedFetch(ctx, f, out[i],
+                                                   /*blocking=*/false);
+                     });
 }
 
 rpc::PeerCopy
@@ -1776,96 +1734,6 @@ BufferCache::peerAdoptResident(CacheFile &f, uint64_t page_idx,
     if (arena_.freeCount() <= claimReserve())
         return false;
     return f.cache->tryAdoptPage(page_idx, src, valid, ready, tenant);
-}
-
-void
-BufferCache::readAheadFrom(gpu::BlockCtx &ctx, CacheFile &f,
-                           uint64_t page_idx)
-{
-    FileCache &c = *f.cache;
-    const uint64_t page_size = params_.pageSize;
-    const uint64_t fsize = f.size.load(std::memory_order_relaxed);
-    if (fsize == 0 || f.hostFd < 0)
-        return;
-    // Diff-and-merge exclusion (see submitReadAhead): batch-published
-    // pages carry no pristine snapshot, which merges depend on.
-    if (diffMergeActive(f))
-        return;
-    // One policy decision per miss (stream-fed even at window 0).
-    ReadAheadStreams::Decision plan = planReadAhead(
-        f, ctx.blockId(), page_idx, page_idx);
-    if (plan.window == 0)
-        return;
-    const uint64_t eof_page = (fsize + page_size - 1) / page_size;
-
-    if (plan.stride != 1) {
-        // Strided pattern (adaptive only): one page per RPC along the
-        // stride — never the gaps (see submitReadAhead).
-        uint64_t covered = page_idx;
-        for (unsigned k = 1; k <= plan.window; ++k) {
-            int64_t sidx = static_cast<int64_t>(page_idx) +
-                static_cast<int64_t>(k) * plan.stride;
-            if (sidx < 0)
-                break;
-            uint64_t idx = static_cast<uint64_t>(sidx);
-            if (idx >= eof_page || idx > FileCache::maxPageIndex())
-                break;
-            if (arena_.freeCount() <= claimReserve())
-                break;
-            BatchSlot slot;
-            if (c.beginInitBatch(idx, 1, &slot) == 0) {
-                if (prefetchStepOver(c, idx)) {
-                    covered = idx;
-                    continue;
-                }
-                break;
-            }
-            if (!fetchBatch(ctx, f, idx, &slot, 1, /*spec=*/true,
-                            plan.stream))
-                break;
-            covered = idx;
-        }
-        if (adaptiveReadAhead() && covered != page_idx)
-            f.ra.advance(plan.stream, covered);
-        return;
-    }
-
-    // Clamp at radix capacity as well as EOF (see submitReadAhead).
-    const uint64_t end = std::min<uint64_t>(
-        std::min<uint64_t>(page_idx + 1 + plan.window, eof_page),
-        FileCache::maxPageIndex() + 1);
-    uint64_t idx = page_idx + 1;
-    while (idx < end) {
-        unsigned max_n = static_cast<unsigned>(
-            std::min<uint64_t>(end - idx, rpc::kMaxBatchPages));
-        // One owner per batch (shard-group clipping, no-op private).
-        max_n = shardRunCap(f, idx, max_n);
-        // Claim reserve: prefetch never takes the frames synchronous
-        // pins would need to reclaim (it must never page out on its
-        // own behalf, and it must not starve demand pins either).
-        uint32_t free_frames = arena_.freeCount();
-        uint32_t reserve = claimReserve();
-        if (free_frames <= reserve)
-            break;
-        max_n = std::min(max_n, free_frames - reserve);
-        BatchSlot slots[rpc::kMaxBatchPages];
-        unsigned n = c.beginInitBatch(idx, max_n, slots);
-        if (n == 0) {
-            if (prefetchStepOver(c, idx)) {
-                ++idx;
-                continue;
-            }
-            break;
-        }
-        if (!fetchBatch(ctx, f, idx, slots, n, /*spec=*/true,
-                        plan.stream))
-            break;
-        idx += n;
-    }
-    // Next sequential miss lands one past the covered span; advance so
-    // the stream reads it as a continuation.
-    if (adaptiveReadAhead() && idx > page_idx + 1)
-        f.ra.advance(plan.stream, idx - 1);
 }
 
 } // namespace core

@@ -60,9 +60,9 @@ class VictimCache;
 struct CacheFile {
     /** Adaptive read-ahead: this file's per-stream access-pattern
      *  table and prefetch-feedback state (see readahead.hh). Consulted
-     *  at the decision points (readAheadFrom / submitReadAhead) under
-     *  no other lock — each consult resolves the requesting block's
-     *  stream slot; fed back from promotion (pinPage) and eviction
+     *  by the read-ahead loop (BufferCache::readAhead) under no other
+     *  lock — each consult resolves the requesting block's stream
+     *  slot; fed back from promotion (pinPage) and eviction
      *  (FileCache::retireSpeculative) through the stream tag published
      *  frames carry. Reset when the table slot is recycled for a
      *  different file. Declared BEFORE the cache: the FileCache holds
@@ -140,12 +140,13 @@ struct CacheFile {
      *  (or worse, recycled) descriptor. */
     std::atomic<uint32_t> wbInFlight{0};
 
-    /** Split-phase fetches (submitPageFetch/submitBatchFetch) whose
-     *  RPC has not been collected yet. The claimed pages sit in Init
-     *  with their fpage locks held across submission→wait, so they are
-     *  invisible to residentPages() — drained-cache collection, entry
-     *  recycling and dropPages must treat "fetchInFlight" as resident,
-     *  or the daemon's DMA would land in freed frames. */
+    /** Page fetches (demand or read-ahead, split-phase or blocking)
+     *  whose RPC has not been collected yet. The claimed pages sit in
+     *  Init with their fpage locks held across submission→wait, so
+     *  they are invisible to residentPages() — drained-cache
+     *  collection, entry recycling and dropPages must treat
+     *  "fetchInFlight" as resident, or the daemon's DMA would land in
+     *  freed frames. */
     std::atomic<uint32_t> fetchInFlight{0};
 
     /** Host page cache dirtied by our write-backs since the last host
@@ -331,9 +332,15 @@ class BufferCache
      * the paging policy when the arena is exhausted. On success
      * *frame_out is pinned (drop with f.cache->unpin). @p skip_fetch
      * suppresses the host read for pages about to be fully overwritten.
+     * @p counted says the caller's own split-phase demand fetch
+     * published the page and completeFetch already counted the access
+     * as a miss: a pin that finds the page resident then counts no hit
+     * and no lock-free or locked access, as a synchronous miss counts
+     * one access.
      */
     Status pinPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
-                   uint32_t *frame_out, FPage **fpage_out, bool skip_fetch);
+                   uint32_t *frame_out, FPage **fpage_out, bool skip_fetch,
+                   bool counted = false);
 
     // ---- write-back ----
 
@@ -376,41 +383,27 @@ class BufferCache
     // ---- split-phase I/O (non-blocking core) ----
 
     /**
-     * Claim the single missing page @p page_idx and submit its
-     * ReadPage RPC without waiting (the demand twin of read-ahead's
-     * batches, kept per-page so the sync wrappers preserve the paper's
-     * demand-paging RPC pattern). On arena exhaustion runs one
-     * reclaim pass and retries once. @return true iff a fetch is now
-     * pending in *out; false when the page is resident, in flight,
-     * contended, or unallocatable (the caller resolves it with a
-     * normal pinPage at wait time).
-     */
-    bool submitPageFetch(gpu::BlockCtx &ctx, CacheFile &f,
-                         uint64_t page_idx, PendingFetch *out);
-
-    /**
      * Claim up to @p max_n contiguous missing pages from @p start_idx
-     * and submit ONE ReadPages RPC for the run without waiting
-     * (vectored reads feed their multi-extent spans through here).
-     * @return pages claimed (0 if the head of the run is not
-     * claimable).
+     * and submit ONE read RPC for the run without waiting: ReadPages
+     * (vectored reads feed their multi-extent spans through here), or
+     * ReadPage when @p single (max_n 1: the per-page demand fetch the
+     * sync wrappers use, which keeps the paper's demand-paging RPC
+     * pattern). Claims stay clear of the arena's last claimReserve()
+     * frames and never reclaim (see the definition). @return pages
+     * claimed: 0 when the head of the run is resident, in flight,
+     * contended or unallocatable, and the caller resolves it with a
+     * normal pinPage at wait time.
      */
     unsigned submitBatchFetch(gpu::BlockCtx &ctx, CacheFile &f,
                               uint64_t start_idx, unsigned max_n,
-                              PendingFetch *out);
+                              PendingFetch *out, bool single = false);
 
     /**
      * Split-phase read-ahead from a demand miss covering pages
-     * [run_first, run_last] (one page for the per-page path, the whole
-     * run for vectored demand batches — the tracker needs the run head
-     * to judge sequential continuation): consults the read-ahead
-     * policy (static window, or the file's adaptive tracker), claims
-     * runs of missing pages in the granted window and submits their
-     * ReadPages RPCs, appending up to @p max_fetches entries to
-     * @p out. Unlike readAheadFrom the RPCs stay in flight — the async
-     * request table collects them at gwait. Non-unit strides prefetch
-     * one page per RPC (the gaps must not be fetched). @return fetches
-     * submitted.
+     * [run_first, run_last] (see readAhead): submits the window's
+     * batches without waiting, appending up to @p max_fetches entries
+     * to @p out for the async request table to collect at gwait.
+     * @return fetches submitted.
      */
     unsigned submitReadAhead(gpu::BlockCtx &ctx, CacheFile &f,
                              uint64_t run_first, uint64_t run_last,
@@ -579,8 +572,8 @@ class BufferCache
      *  window set (readAheadPages unset). */
     bool adaptiveReadAhead() const { return !params_.readAheadPages; }
 
-    /** True when any read-ahead can be issued at all (miss paths gate
-     *  their readAheadFrom / submitReadAhead calls on this). */
+    /** True when any read-ahead can be issued at all (the miss paths
+     *  skip the read-ahead loop when it is not). */
     bool
     readAheadEnabled() const
     {
@@ -755,18 +748,27 @@ class BufferCache
                              unsigned n, Time issue, Time *done_out,
                              bool *ext_failed = nullptr);
 
-    /** Read-ahead from a miss at @p page_idx (policy-decided window,
-     *  see planReadAhead): coalesces runs of missing pages into
-     *  batched ReadPages RPCs, published speculative. */
-    void readAheadFrom(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx);
-
-    /** Issue one batched fetch for @p n already-claimed slots starting
-     *  at @p start_idx and wait it out; @p spec marks a read-ahead
-     *  batch (speculative publish, tagged with @p stream). @return
-     *  false on RPC failure (slots aborted). */
-    bool fetchBatch(gpu::BlockCtx &ctx, CacheFile &f, uint64_t start_idx,
-                    const BatchSlot *slots, unsigned n, bool spec,
-                    uint8_t stream = ReadAheadStreams::kNoStream);
+    /**
+     * The one read-ahead loop, run on a demand miss covering pages
+     * [run_first, run_last] of @p f (one page on the per-page paths,
+     * the whole run for vectored demand batches: the tracker needs the
+     * run head to judge sequential continuation). Plans the window
+     * (planReadAhead, exactly one plan per miss) and walks it: a
+     * contiguous window in batches clipped at EOF, radix capacity,
+     * the shard group and the claim reserve; a strided one a page per
+     * RPC (the gaps must not be fetched). Resident or in-flight pages
+     * are stepped over; anything else ends the window, since prefetch
+     * never pages out. Each claimed batch, published speculative, goes
+     * to @p issue(pf, i), i being the batches issued before it, which
+     * submits it and returns false to end the window (claim rolled
+     * back or RPC failed). Stops after @p max_fetches batches, then
+     * advances the stream past the covered span. @return batches
+     * issued.
+     */
+    template <typename IssueFn>
+    unsigned readAhead(gpu::BlockCtx &ctx, CacheFile &f,
+                       uint64_t run_first, uint64_t run_last,
+                       unsigned max_fetches, IssueFn &&issue);
 
     /**
      * The read RPC for pages [start_idx, start_idx + n) of @p f landing
@@ -781,7 +783,7 @@ class BufferCache
 
     /**
      * Build and submit the RPC for a PendingFetch whose slots are
-     * already claimed (shared by the sync and split-phase paths);
+     * already claimed (shared by the pin path and split-phase paths);
      * elevates f.fetchInFlight until completeFetch. @p blocking
      * callers (the synchronous fetch path — they hold no uncollected
      * slots) may wait for a queue slot; split-phase callers must not

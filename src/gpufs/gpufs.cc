@@ -12,6 +12,10 @@ namespace core {
 
 namespace {
 
+/** Split-phase fetches one async op may hold in flight: its demand
+ *  fetches and the read-ahead batches riding them. */
+constexpr unsigned kMaxFetchesPerOp = 16;
+
 /**
  * Pin with a bounded retry on transient arena exhaustion. Split-phase
  * claims are unreclaimable until their owning block collects them, so
@@ -19,22 +23,36 @@ namespace {
  * nothing evictable even though frames are seconds (of real time) from
  * coming back — every in-flight claim has a collector that needs no
  * frames to run. Persistent exhaustion (frames leaked under pins)
- * still surfaces as NoSpace.
+ * still surfaces as NoSpace. @p counted as in BufferCache::pinPage.
  */
 Status
 pinPageRetry(BufferCache &bc, gpu::BlockCtx &ctx, CacheFile &cf,
              uint64_t page_idx, uint32_t *frame_out, FPage **fpage_out,
-             bool skip_fetch)
+             bool skip_fetch, bool counted = false)
 {
     constexpr int kNoSpaceRetries = 4096;
     Status st;
     for (int tries = 0;; ++tries) {
         st = bc.pinPage(ctx, cf, page_idx, frame_out, fpage_out,
-                        skip_fetch);
+                        skip_fetch, counted);
         if (st != Status::NoSpace || tries >= kNoSpaceRetries)
             return st;
         std::this_thread::yield();
     }
+}
+
+/** True iff @p page_idx is the op's next own demand-fetched page
+ *  (AsyncIoOp::fetchedPages, walked by the cursor @p next), which the
+ *  cursor then passes. Resolution meets those pages in claim order. */
+bool
+takeFetched(const AsyncIoOp &op, size_t *next, uint64_t page_idx)
+{
+    if (*next < op.fetchedPages.size() &&
+        op.fetchedPages[*next] == page_idx) {
+        ++*next;
+        return true;
+    }
+    return false;
 }
 
 /** Map GPUfs open flags to the host-visible flag set. */
@@ -543,6 +561,7 @@ GpuFs::releaseOp(AsyncIoOp &op)
     ++op.gen;       // invalidates the redeemed token (reuse errors)
     op.segs.clear();
     op.fetches.clear();
+    op.fetchedPages.clear();
     op.flushes.clear();
     if (op.entry)
         op.entry->cf.opInFlight.fetch_sub(1);
@@ -560,7 +579,10 @@ GpuFs::completePending(AsyncIoOp &op)
         // A failed fetch rolls its claim back to Empty; resolution
         // refetches synchronously and reports errors through the
         // normal pin path.
-        bc_.completeFetch(cf, pf);
+        if (ok(bc_.completeFetch(cf, pf)) && !pf.spec) {
+            for (unsigned i = 0; i < pf.n; ++i)
+                op.fetchedPages.push_back(pf.startIdx + i);
+        }
     }
     op.fetches.clear();
     for (auto &fl : op.flushes) {
@@ -630,52 +652,25 @@ GpuFs::submitRead(gpu::BlockCtx &ctx, int fd, const GIoVec *iov,
     // Demand fetches go to the daemon split-phase; everything not
     // claimable here (resident pages, contended pages, wronce and
     // diff-merge files) resolves through the normal pin path at wait.
-    constexpr unsigned kMaxFetchesPerOp = 16;
-    auto budget = [&]() {
-        return kMaxFetchesPerOp -
-            static_cast<unsigned>(op->fetches.size());
-    };
-    auto submit_ra = [&](uint64_t run_first, uint64_t run_last) {
-        if (!bc_.readAheadEnabled() || budget() == 0)
-            return;
-        PendingFetch ra[kMaxFetchesPerOp];
-        unsigned m = bc_.submitReadAhead(ctx, cf, run_first, run_last,
-                                         ra, budget());
-        for (unsigned i = 0; i < m; ++i)
-            op->fetches.push_back(ra[i]);
-    };
     if (!coalesce) {
-        // Sync-wrapper pattern: one ReadPage per missing page, with
-        // the read-ahead window riding each miss — the pre-async RPC
-        // shape, just submitted without waiting.
-        uint64_t last_tried = UINT64_MAX;
-        for (const auto &seg : op->segs) {
-            if (budget() == 0)
-                break;
-            if (seg.pageIdx == last_tried)
-                continue;
-            last_tried = seg.pageIdx;
-            PendingFetch pf;
-            if (bc_.submitPageFetch(ctx, cf, seg.pageIdx, &pf)) {
-                op->fetches.push_back(pf);
-                ++op->demandPages;
-                submit_ra(seg.pageIdx, seg.pageIdx);
-            }
-        }
+        // Sync-wrapper pattern: the pre-async RPC shape, just
+        // submitted without waiting.
+        submitDemandPages(ctx, *op, cf, /*skip_whole_pages=*/false);
     } else {
         // Vectored/async pattern: runs of missing pages coalesce into
         // ReadPages batches per extent.
         const uint64_t page_size = params_.pageSize;
         uint64_t first_demand = UINT64_MAX;
         uint64_t last_demand = 0;
-        for (unsigned v = 0; v < iovcnt && budget() > 0; ++v) {
+        auto room = [&]() { return op->fetches.size() < kMaxFetchesPerOp; };
+        for (unsigned v = 0; v < iovcnt && room(); ++v) {
             if (iov[v].len == 0 || iov[v].offset >= fsize)
                 continue;
             uint64_t idx = iov[v].offset / page_size;
             uint64_t end_off =
                 std::min(iov[v].offset + iov[v].len, fsize);
             const uint64_t last = (end_off + page_size - 1) / page_size;
-            while (idx < last && budget() > 0) {
+            while (idx < last && room()) {
                 unsigned want = static_cast<unsigned>(
                     std::min<uint64_t>(last - idx, rpc::kMaxBatchPages));
                 PendingFetch pf;
@@ -696,10 +691,50 @@ GpuFs::submitRead(gpu::BlockCtx &ctx, int fd, const GIoVec *iov,
             // The whole demand run feeds the tracker as one miss (its
             // head judges sequential continuation, prefetch extends
             // from its tail).
-            submit_ra(first_demand, last_demand);
+            submitOpReadAhead(ctx, *op, cf, first_demand, last_demand);
         }
     }
     return tok;
+}
+
+void
+GpuFs::submitOpReadAhead(gpu::BlockCtx &ctx, AsyncIoOp &op, CacheFile &cf,
+                         uint64_t run_first, uint64_t run_last)
+{
+    const unsigned budget =
+        kMaxFetchesPerOp - static_cast<unsigned>(op.fetches.size());
+    if (!bc_.readAheadEnabled() || budget == 0)
+        return;
+    PendingFetch ra[kMaxFetchesPerOp];
+    unsigned m = bc_.submitReadAhead(ctx, cf, run_first, run_last, ra,
+                                     budget);
+    op.fetches.insert(op.fetches.end(), ra, ra + m);
+}
+
+void
+GpuFs::submitDemandPages(gpu::BlockCtx &ctx, AsyncIoOp &op, CacheFile &cf,
+                         bool skip_whole_pages)
+{
+    // One ReadPage per missing page, with the read-ahead window riding
+    // each miss, exactly as the sync paths' pins do.
+    const uint64_t page_size = params_.pageSize;
+    uint64_t last_tried = UINT64_MAX;
+    for (const auto &seg : op.segs) {
+        if (op.fetches.size() >= kMaxFetchesPerOp)
+            break;
+        if (skip_whole_pages && seg.inPage == 0 && seg.n == page_size)
+            continue;       // whole-page overwrite: no fetch
+        if (seg.pageIdx == last_tried)
+            continue;
+        last_tried = seg.pageIdx;
+        PendingFetch pf;
+        if (bc_.submitBatchFetch(ctx, cf, seg.pageIdx, 1, &pf,
+                                 /*single=*/true)) {
+            op.fetches.push_back(pf);
+            ++op.demandPages;
+            submitOpReadAhead(ctx, op, cf, seg.pageIdx, seg.pageIdx);
+        }
+    }
 }
 
 IoToken
@@ -735,35 +770,8 @@ GpuFs::submitWrite(gpu::BlockCtx &ctx, int fd, const GIoVec *iov,
 
     // Only partially-overwritten pages need a read-modify-write fetch
     // (whole pages are zero-initialized without I/O at wait time), so
-    // only those start split-phase; the read-ahead window rides each
-    // miss exactly as the sync write path's pin did.
-    const uint64_t page_size = params_.pageSize;
-    constexpr unsigned kMaxFetchesPerOp = 16;
-    uint64_t last_tried = UINT64_MAX;
-    for (const auto &seg : op->segs) {
-        if (op->fetches.size() >= kMaxFetchesPerOp)
-            break;
-        if (seg.inPage == 0 && seg.n == page_size)
-            continue;       // whole-page overwrite: no fetch
-        if (seg.pageIdx == last_tried)
-            continue;
-        last_tried = seg.pageIdx;
-        PendingFetch pf;
-        if (bc_.submitPageFetch(ctx, cf, seg.pageIdx, &pf)) {
-            op->fetches.push_back(pf);
-            ++op->demandPages;
-            if (bc_.readAheadEnabled() &&
-                op->fetches.size() < kMaxFetchesPerOp) {
-                PendingFetch ra[kMaxFetchesPerOp];
-                unsigned m = bc_.submitReadAhead(
-                    ctx, cf, seg.pageIdx, seg.pageIdx, ra,
-                    kMaxFetchesPerOp -
-                        static_cast<unsigned>(op->fetches.size()));
-                for (unsigned i = 0; i < m; ++i)
-                    op->fetches.push_back(ra[i]);
-            }
-        }
-    }
+    // only those start split-phase.
+    submitDemandPages(ctx, *op, cf, /*skip_whole_pages=*/true);
     return tok;
 }
 
@@ -812,11 +820,13 @@ GpuFs::resolveRead(gpu::BlockCtx &ctx, AsyncIoOp &op)
         ctx.charge(op.demandPages *
                    dev.simContext().params.pageMapOverhead);
     }
+    size_t fetched = 0;
     for (const auto &seg : op.segs) {
         uint32_t frame;
         FPage *fp;
         Status st = pinPageRetry(bc_, ctx, cf, seg.pageIdx, &frame, &fp,
-                                 false);
+                                 false,
+                                 takeFetched(op, &fetched, seg.pageIdx));
         if (!ok(st))
             return -static_cast<int64_t>(st);
         std::memcpy(seg.buf, bc_.arena().data(frame) + seg.inPage, seg.n);
@@ -836,12 +846,14 @@ GpuFs::resolveWrite(gpu::BlockCtx &ctx, AsyncIoOp &op)
         ctx.charge(op.demandPages *
                    dev.simContext().params.pageMapOverhead);
     }
+    size_t fetched = 0;
     for (const auto &seg : op.segs) {
         bool whole_page = seg.inPage == 0 && seg.n == page_size;
         uint32_t frame;
         FPage *fp;
         Status st = pinPageRetry(bc_, ctx, cf, seg.pageIdx, &frame, &fp,
-                                 whole_page);
+                                 whole_page,
+                                 takeFetched(op, &fetched, seg.pageIdx));
         if (!ok(st))
             return -static_cast<int64_t>(st);
         std::memcpy(bc_.arena().data(frame) + seg.inPage, seg.buf, seg.n);

@@ -143,6 +143,11 @@ struct AsyncIoOp {
      *  overhead (charged by the sync path inside pinPage) is paid for
      *  them at wait time. */
     unsigned demandPages = 0;
+    /** The demand-fetched pages that published, in claim order, which
+     *  is the order of their first segments (completePending records
+     *  them). completeFetch counted each as a miss, so resolution's
+     *  first pin of each counts nothing more. */
+    std::vector<uint64_t> fetchedPages;
 
     uint64_t syncFirstPage = 0;     ///< Fsync range
     uint64_t syncLastPage = 0;
@@ -506,6 +511,19 @@ class GpuFs : public rpc::PeerPageSource
                         unsigned iovcnt);
     IoToken submitFsync(gpu::BlockCtx &ctx, int fd, uint64_t first_page,
                         uint64_t last_page);
+
+    /** The per-page demand pattern of gread and gwrite: one ReadPage
+     *  per missing page of @p op's segments, each followed by its
+     *  read-ahead window, within the op's fetch budget.
+     *  @p skip_whole_pages passes over pages the op overwrites whole
+     *  (they need no read-modify-write fetch). */
+    void submitDemandPages(gpu::BlockCtx &ctx, AsyncIoOp &op,
+                           CacheFile &cf, bool skip_whole_pages);
+    /** Split-phase read-ahead behind @p op's demand miss on pages
+     *  [run_first, run_last], within the op's fetch budget. */
+    void submitOpReadAhead(gpu::BlockCtx &ctx, AsyncIoOp &op,
+                           CacheFile &cf, uint64_t run_first,
+                           uint64_t run_last);
 
     /** Wait-side resolution of one claimed op. */
     int64_t resolveOp(gpu::BlockCtx &ctx, AsyncIoOp &op);

@@ -148,6 +148,21 @@ FileCache::findPage(uint64_t page_idx)
     return &node->pages[slotOf(page_idx, 0)];
 }
 
+uint32_t
+FileCache::claimFrame(FPage &p, uint64_t page_idx, uint8_t tenant)
+{
+    uint32_t f = arena.allocFor(tenant);
+    if (f == kNoFrame)
+        return kNoFrame;
+    PFrame &pf = arena.frame(f);
+    pf.fileUid.store(uid_, std::memory_order_relaxed);
+    pf.pageIdx.store(page_idx, std::memory_order_relaxed);
+    pf.owner.store(&p, std::memory_order_relaxed);
+    pf.lastAccess.store(arena.nextTick(), std::memory_order_relaxed);
+    p.frame.store(f, std::memory_order_release);
+    return f;
+}
+
 bool
 FileCache::tryPinReady(FPage &p, uint64_t page_idx, uint32_t *frame_out)
 {
@@ -187,17 +202,11 @@ FileCache::beginInitBatch(uint64_t start_idx, unsigned max_n,
             p->lock.unlock();
             break;
         }
-        uint32_t f = arena.allocFor(tenantOf());
+        uint32_t f = claimFrame(*p, idx, tenantOf());
         if (f == kNoFrame) {
             p->lock.unlock();
             break;
         }
-        PFrame &pf = arena.frame(f);
-        pf.fileUid.store(uid_, std::memory_order_relaxed);
-        pf.pageIdx.store(idx, std::memory_order_relaxed);
-        pf.owner.store(p, std::memory_order_relaxed);
-        pf.lastAccess.store(arena.nextTick(), std::memory_order_relaxed);
-        p->frame.store(f, std::memory_order_release);
         p->state.store(kPageInit, std::memory_order_release);
         out[n++] = BatchSlot{p, f};
     }
@@ -254,20 +263,15 @@ FileCache::tryAdoptPage(uint64_t page_idx, const uint8_t *src,
         p->lock.unlock();
         return false;
     }
-    uint32_t f = arena.allocFor(tenant);
+    uint32_t f = claimFrame(*p, page_idx, tenant);
     if (f == kNoFrame) {
         p->lock.unlock();
         return false;
     }
     PFrame &pf = arena.frame(f);
-    pf.fileUid.store(uid_, std::memory_order_relaxed);
-    pf.pageIdx.store(page_idx, std::memory_order_relaxed);
-    pf.owner.store(p, std::memory_order_relaxed);
-    pf.lastAccess.store(arena.nextTick(), std::memory_order_relaxed);
     std::memcpy(arena.data(f), src, valid);
     pf.validBytes.store(valid, std::memory_order_relaxed);
     pf.readyTime.store(ready, std::memory_order_release);
-    p->frame.store(f, std::memory_order_release);
     p->state.store(kPageReady, std::memory_order_release);
     p->lock.unlock();
     return true;

@@ -219,17 +219,11 @@ class FileCache
         }
         // Holding the lock, state can only be Empty here: Init/Evicting
         // are only set by the lock holder.
-        uint32_t f = arena.allocFor(tenantOf());
+        uint32_t f = claimFrame(p, page_idx, tenantOf());
         if (f == kNoFrame) {
             p.lock.unlock();
             return Status::NoSpace;
         }
-        PFrame &pf = arena.frame(f);
-        pf.fileUid.store(uid_, std::memory_order_relaxed);
-        pf.pageIdx.store(page_idx, std::memory_order_relaxed);
-        pf.owner.store(&p, std::memory_order_relaxed);
-        pf.lastAccess.store(arena.nextTick(), std::memory_order_relaxed);
-        p.frame.store(f, std::memory_order_release);
         p.state.store(kPageInit, std::memory_order_release);
 
         uint32_t valid = 0;
@@ -241,7 +235,7 @@ class FileCache
             p.lock.unlock();
             return st;
         }
-        pf.validBytes.store(valid, std::memory_order_relaxed);
+        arena.frame(f).validBytes.store(valid, std::memory_order_relaxed);
         p.refs.fetch_add(1, std::memory_order_seq_cst);
         p.state.store(kPageReady, std::memory_order_release);
         p.lock.unlock();
@@ -523,6 +517,14 @@ class FileCache
 
     RadixNode *newNode(uint32_t level, uint64_t base);
     void pushFifo(RadixNode *leaf);
+
+    /** Give the locked Empty page @p p a frame charged to @p tenant:
+     *  stamp the frame's identity (tree uid, page index, owner) and
+     *  access tick, and attach it. Every claim path (initAndPin,
+     *  beginInitBatch, tryAdoptPage) goes through here and then moves
+     *  the page's state on itself. @return the frame, or kNoFrame
+     *  when the arena declines (exhausted, or @p tenant at quota). */
+    uint32_t claimFrame(FPage &p, uint64_t page_idx, uint8_t tenant);
 
     template <typename WbFn, typename DemoteFn>
     unsigned

@@ -29,10 +29,10 @@
  *
  * One tracker per CacheFile, embedded next to the radix cache it
  * describes. All pattern state lives under a private spinlock: the
- * decision points (BufferCache::readAheadFrom / submitReadAhead) run
- * on application block threads, promotion runs on whichever block pins
- * first, and waste accounting runs under the paging lock — the lock
- * here is always innermost and never held across a call out.
+ * decision point (BufferCache::readAhead, the one read-ahead loop)
+ * runs on application block threads, promotion runs on whichever
+ * block pins first, and waste accounting runs under the paging lock —
+ * the lock here is always innermost and never held across a call out.
  *
  * A bare ReadAheadTracker keys on whatever its owner keys it on. Keyed
  * per FILE (the PR-5 design), N blocks scanning one file sequentially

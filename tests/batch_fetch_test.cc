@@ -155,6 +155,89 @@ TEST(BatchFetchTest, BatchSkipsResidentPagesAndRefetchesNothing)
     sys->fs().gclose(ctx, fd);
 }
 
+// A split-phase demand page is one access: completeFetch counts it as
+// the miss, and the wait-time pin that finds it published counts
+// nothing more, as a synchronous miss counts one. gmmap is that
+// synchronous path.
+TEST(BatchFetchTest, SplitPhaseDemandPageCountsOneMissAndNoHit)
+{
+    constexpr uint64_t kPage = 64 * KiB;
+    constexpr uint64_t kPages = 32;
+    struct Counts {
+        uint64_t hits, misses, lockfree, locked;
+    };
+    enum class Reader { Gread, Greadv, Gmmap };
+    auto pass = [&](GpufsSystem &sys, gpu::BlockCtx &ctx, int fd,
+                    Reader how) {
+        std::vector<uint8_t> buf(kPages * kPage);
+        if (how == Reader::Gread) {
+            for (uint64_t pg = 0; pg < kPages; ++pg) {
+                EXPECT_EQ(int64_t(kPage),
+                          sys.fs().gread(ctx, fd, pg * kPage, kPage,
+                                         buf.data() + pg * kPage));
+            }
+        } else if (how == Reader::Greadv) {
+            // Two extents: one miss run per extent.
+            const uint64_t half = buf.size() / 2;
+            GIoVec iov[2] = {{0, half, buf.data()},
+                             {half, half, buf.data() + half}};
+            EXPECT_EQ(int64_t(buf.size()),
+                      sys.fs().greadv(ctx, fd, iov, 2));
+        } else {
+            for (uint64_t pg = 0; pg < kPages; ++pg) {
+                uint64_t mapped = 0;
+                void *ptr =
+                    sys.fs().gmmap(ctx, fd, pg * kPage, kPage, &mapped);
+                EXPECT_NE(nullptr, ptr);
+                std::memcpy(buf.data() + pg * kPage, ptr, kPage);
+                sys.fs().gmunmap(ctx, ptr);
+            }
+        }
+        for (uint64_t i = 0; i < buf.size(); i += 4093)
+            EXPECT_EQ(test::rampByte(i), buf[i]) << "offset " << i;
+        StatSet &s = sys.fs().stats();
+        return Counts{s.counter("cache_hits").get(),
+                      s.counter("cache_misses").get(),
+                      s.counter("lockfree_accesses").get(),
+                      s.counter("locked_accesses").get()};
+    };
+    for (Reader how : {Reader::Gread, Reader::Greadv, Reader::Gmmap}) {
+        SCOPED_TRACE(how == Reader::Gread    ? "gread"
+                     : how == Reader::Greadv ? "greadv"
+                                             : "gmmap");
+        // No read-ahead, so every page is a demand miss; a 256-frame
+        // arena leaves the claim reserve free, so gread and greadv
+        // fetch split-phase.
+        auto sys = makeSystem(0, kPage, 256 * kPage);
+        test::addRamp(sys->hostFs(), "/once", kPages * kPage);
+        hostfs::FileInfo info;
+        ASSERT_EQ(Status::Ok, sys->hostFs().stat("/once", &info));
+        sys->hostFs().cache().prefault(info.ino, 0, info.size);
+        auto ctx = test::makeBlock(sys->device(0));
+        int fd = sys->fs().gopen(ctx, "/once", G_RDONLY);
+        ASSERT_GE(fd, 0);
+
+        Counts cold = pass(*sys, ctx, fd, how);
+        EXPECT_EQ(0u, cold.hits);
+        EXPECT_EQ(kPages, cold.misses);
+        EXPECT_EQ(0u, cold.lockfree);
+        if (how != Reader::Greadv) {
+            // A per-page demand miss counts one locked access,
+            // split-phase or not; a batched demand run counts none, as
+            // a read-ahead batch does.
+            EXPECT_EQ(kPages, cold.locked);
+        }
+
+        // Warm: every page is a lock-free hit.
+        Counts warm = pass(*sys, ctx, fd, how);
+        EXPECT_EQ(kPages, warm.hits);
+        EXPECT_EQ(kPages, warm.misses);
+        EXPECT_EQ(kPages, warm.lockfree);
+        EXPECT_EQ(cold.locked, warm.locked);
+        sys->fs().gclose(ctx, fd);
+    }
+}
+
 TEST(BatchFetchTest, ConcurrentBlocksWithReadAheadKeepDataIntact)
 {
     constexpr uint64_t kPage = 16 * KiB;

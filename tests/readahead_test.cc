@@ -441,6 +441,100 @@ TEST(ReadAheadE2eTest, AdaptiveMatchesTunedStaticOn256PageScan)
 }
 
 // ---------------------------------------------------------------------
+// The pin path's read-ahead: gmmap pins pages synchronously, so every
+// miss below prefetches through pinPage (blocking batches collected at
+// once), never through split-phase submission. These pins hold the
+// exact RPC shape and virtual span of that path.
+// ---------------------------------------------------------------------
+
+struct PinScanShape {
+    const char *name;
+    std::optional<unsigned> readAhead;
+    uint64_t filePages;
+    uint64_t frames;
+    int stride;         ///< pages between maps; negative scans backward
+    unsigned passes;
+    // Expected at the end of the scan.
+    uint64_t readRpcs;
+    uint64_t batchRpcs;
+    uint64_t batchPages;
+    uint64_t misses;
+    uint64_t raIssued;
+    Time span;
+};
+
+/** One block gmmaps every |stride|-th page of a host-cached file,
+ *  @p passes times over, and closes it. */
+void
+checkPinScan(const PinScanShape &s)
+{
+    SCOPED_TRACE(s.name);
+    constexpr uint64_t kPage = 64 * KiB;
+    GpuFsParams p;
+    p.pageSize = kPage;
+    p.cacheBytes = s.frames * kPage;
+    p.readAheadPages = s.readAhead;
+    GpufsSystem sys(1, p);
+    test::addRamp(sys.hostFs(), "/pin", s.filePages * kPage);
+    hostfs::FileInfo info;
+    ASSERT_EQ(Status::Ok, sys.hostFs().stat("/pin", &info));
+    sys.hostFs().cache().prefault(info.ino, 0, info.size);
+
+    auto ctx = test::makeBlock(sys.device(0));
+    GpuFs &fs = sys.fs();
+    int fd = fs.gopen(ctx, "/pin", G_RDONLY);
+    ASSERT_GE(fd, 0);
+    const uint64_t step = s.stride < 0 ? -s.stride : s.stride;
+    for (unsigned pass = 0; pass < s.passes; ++pass) {
+        for (uint64_t k = 0; k < s.filePages / step; ++k) {
+            uint64_t pg = s.stride > 0 ? k * step : s.filePages - 1 - k * step;
+            uint64_t mapped = 0;
+            Status st;
+            void *ptr = fs.gmmap(ctx, fd, pg * kPage, kPage, &mapped, &st);
+            ASSERT_NE(nullptr, ptr) << "page " << pg << ": "
+                                    << statusName(st);
+            EXPECT_EQ(test::rampByte(pg * kPage),
+                      *static_cast<const uint8_t *>(ptr));
+            ASSERT_EQ(Status::Ok, fs.gmunmap(ctx, ptr));
+        }
+    }
+    ASSERT_EQ(Status::Ok, fs.gclose(ctx, fd));
+
+    EXPECT_EQ(s.readRpcs, counterOf(fs, "read_rpcs"));
+    EXPECT_EQ(s.batchRpcs, counterOf(fs, "batch_read_rpcs"));
+    EXPECT_EQ(s.batchPages, counterOf(fs, "batch_read_pages"));
+    EXPECT_EQ(s.misses, counterOf(fs, "cache_misses"));
+    EXPECT_EQ(s.raIssued, counterOf(fs, "ra_issued"));
+    EXPECT_EQ(s.span, ctx.now());
+}
+
+TEST(ReadAheadPinPathTest, SingleBlockMmapScansKeepTheirShape)
+{
+    // 64 KB pages, one block; a 128-page file in a 256-frame arena
+    // unless stated. The two-pass shapes scan a 256-page file through
+    // an arena too small for it, so reclaim runs on the block's misses
+    // and read-ahead stops at the claim reserve.
+    const PinScanShape shapes[] = {
+        {"static 8", 8, 128, 256, 1, 1,
+         15, 15, 113, 128, 113, 6805192},
+        {"static 32", 32, 128, 256, 1, 1,
+         4, 8, 124, 128, 124, 4097481},
+        {"adaptive", std::nullopt, 128, 256, 1, 1,
+         9, 10, 119, 128, 119, 5138101},
+        {"adaptive, stride 2", std::nullopt, 128, 256, 2, 1,
+         10, 54, 54, 64, 54, 3714866},
+        {"adaptive, stride -2", std::nullopt, 128, 256, -2, 1,
+         10, 54, 54, 64, 54, 3714866},
+        {"adaptive, 48 frames, two passes", std::nullopt, 256, 48, 1, 2,
+         371, 31, 109, 480, 109, 74843616},
+        {"static 16, 40 frames, two passes", 16, 256, 40, 1, 2,
+         320, 30, 168, 488, 168, 66995067},
+    };
+    for (const PinScanShape &s : shapes)
+        checkPinScan(s);
+}
+
+// ---------------------------------------------------------------------
 // The per-(file, stream) table: interleaved block streams must ramp
 // independently where a single per-file tracker read them as random.
 // ---------------------------------------------------------------------
