@@ -307,10 +307,7 @@ BufferCache::parkFile(CacheFile &f, uint64_t close_seq)
     PagingGuard lock(*this);
     f.closeSeq = close_seq;
     f.closed = true;
-    if (f.cache && (f.cache->dirtyCount() != 0 ||
-                    f.wbInFlight.load() != 0 ||
-                    f.fetchInFlight.load() != 0 ||
-                    f.opInFlight.load() != 0)) {
+    if (f.cache && (f.cache->dirtyCount() != 0 || !f.fdIdle())) {
         // Keep the fd: eviction may still write back, an in-flight
         // drain (another block's eviction or gfsync_async) still needs
         // it — its take made the count 0 before its RPC landed — a
@@ -331,10 +328,22 @@ int
 BufferCache::reopenFile(CacheFile &f, int new_host_fd)
 {
     PagingGuard lock(*this);
-    int old_fd = f.hostFd;
-    f.hostFd = new_host_fd;
+    // Swap first, then read the counts. Every fetch and write-back
+    // raises its count before it reads hostFd, so either it reads the
+    // new fd or the check below sees it in flight.
+    int old_fd = f.hostFd.exchange(new_host_fd);
     f.closed = false;
-    listDrop(keptFd_, &f);
+    if (old_fd >= 0 && !f.fdIdle()) {
+        // A fetch, write-back or unretired op of this entry may still
+        // carry the old fd: closing it now could make the daemon serve
+        // that request on a dead fd. Keep it until none can.
+        f.retiredFds.push_back(old_fd);
+        old_fd = -1;
+    }
+    if (f.retiredFds.empty())
+        listDrop(keptFd_, &f);
+    else
+        listAdd(keptFd_, &f);
     return old_fd;
 }
 
@@ -400,8 +409,12 @@ BufferCache::fetchPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
         return Status::Ok;
     }
     bool peer = false;
+    // Held across the RPC, as for split-phase fetches: raised before
+    // the request reads hostFd (see reopenFile).
+    f.fetchInFlight.fetch_add(1);
     rpc::RpcResponse resp = queue.call(
         readRequest(ctx, f, page_idx, &data, 1, /*single=*/true, &peer));
+    f.fetchInFlight.fetch_sub(1);
     (peer ? cntPeerReadRpcs : cntReadRpcs).inc();
     if (!ok(resp.status))
         return resp.status;
@@ -888,6 +901,12 @@ BufferCache::submitFlush(gpu::BlockCtx &ctx, CacheFile &f,
             pf.zeroDiff = f.wronce;
             pf.peer = owner != dev.id();
             pf.peerGpu = owner;
+            // The in-flight mark spans submission→wait: the take above
+            // made these pages read clean, and fd release must not
+            // slip in before the RPC lands. Raised before the request
+            // reads hostFd, so a reopen either sees the mark or this
+            // request carries the new fd (see reopenFile).
+            f.wbInFlight.fetch_add(1);
             rpc::RpcRequest req;
             req.hostFd = f.hostFd;
             req.diffAgainstZeros = pf.zeroDiff;
@@ -915,13 +934,9 @@ BufferCache::submitFlush(gpu::BlockCtx &ctx, CacheFile &f,
                 total += req.batchLen[k];
             }
             req.len = total;
-            // The in-flight mark spans submission→wait: the take above
-            // made these pages read clean, and fd release must not
-            // slip in before the RPC lands. Submission must not block
-            // on a full queue (the submitter may hold uncollected
-            // slots) — restore the extents and leave them to the
-            // wait-time drain.
-            f.wbInFlight.fetch_add(1);
+            // Submission must not block on a full queue (the submitter
+            // may hold uncollected slots) — restore the extents and
+            // leave them to the wait-time drain.
             pf.rpcSlot = queue.trySubmit(req);
             if (!pf.rpcSlot) {
                 f.cache->finishDirtyBatch(pf.ext, pf.n,
@@ -1103,12 +1118,16 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
                 gpufs_warn("eviction batch write-back failed: %s",
                            statusName(st));
         }
-        // Owners keep their shards resident: a sharded file first gives
-        // up only the pages another GPU owns, which that owner can
-        // forward again over P2P, and its own pages (for which every
-        // peer miss would go to storage) only when those do not cover
-        // the request. A file that is one shard group (FileAffinity)
-        // has one owner, so there is nothing to order.
+        // Up to three walks, each only when the ones before it freed
+        // too few. Owners keep their shards resident: a sharded file
+        // first gives up only the read pages another GPU owns, which
+        // that owner can forward again over P2P; a file that is one
+        // shard group (FileAffinity) has one owner, so there is nothing
+        // to order. Then the file's other read pages (for a sharded
+        // file's own pages every peer miss would go to storage). Unread
+        // prefetched pages go last: a window's pages wait there for
+        // their reader, and evicting them wastes the fetch and turns
+        // the read into a demand miss.
         unsigned freed = 0;
         if (shardedFile(f) && shards_->groupEnd(0) != UINT64_MAX) {
             // Ownership is constant within a group: look it up once
@@ -1123,10 +1142,17 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
                 }
                 return own;
             };
-            freed = f.cache->reclaim(n, allow_dirty, owned, wb, demote);
+            freed = f.cache->reclaim(n, allow_dirty, /*keep_unread=*/true,
+                                     owned, wb, demote);
         }
         if (freed < n) {
             freed += f.cache->reclaim(n - freed, allow_dirty,
+                                      /*keep_unread=*/true,
+                                      FileCache::keepNothing, wb, demote);
+        }
+        if (freed < n) {
+            freed += f.cache->reclaim(n - freed, allow_dirty,
+                                      /*keep_unread=*/false,
                                       FileCache::keepNothing, wb, demote);
         }
         if (freed != 0)
@@ -1165,22 +1191,30 @@ BufferCache::reclaimFrames(gpu::BlockCtx &ctx, unsigned want, uint8_t tenant)
 bool
 BufferCache::maybeReleaseClosedFdLocked(gpu::BlockCtx &ctx, CacheFile &f)
 {
-    if (f.closed && f.hostFd >= 0 && f.cache &&
-        f.cache->dirtyCount() == 0 && f.wbInFlight.load() == 0 &&
-        f.fetchInFlight.load() == 0 && f.opInFlight.load() == 0) {
+    if (!f.fdIdle())
+        return false;
+    auto send_close = [&](int host_fd) {
         rpc::RpcRequest req;
         req.op = rpc::RpcOp::Close;
-        req.hostFd = f.hostFd;
+        req.hostFd = host_fd;
         req.gpuId = dev.id();
         req.issueTime = ctx.now();
         req.tenant = f.tenant.load(std::memory_order_relaxed);
         rpc::RpcResponse resp = queue.call(req);
         ctx.waitUntil(resp.done);
+    };
+    for (int host_fd : f.retiredFds)
+        send_close(host_fd);
+    f.retiredFds.clear();
+    const bool parked = f.closed && f.hostFd >= 0;
+    if (parked && f.cache && f.cache->dirtyCount() == 0) {
+        send_close(f.hostFd);
         f.hostFd = -1;
-        listDrop(keptFd_, &f);
-        return true;
+    } else if (parked) {
+        return false;   // dirty pages still need the fd
     }
-    return false;
+    listDrop(keptFd_, &f);
+    return true;
 }
 
 namespace {
@@ -1214,8 +1248,9 @@ promoteIfSpeculative(FrameArena &arena, CacheCounters &counters,
  * (another block's fetch holds its lock) is hopped over — under
  * concurrent sequential readers most windows start on a neighbour's
  * in-flight page. @return false for anything else (contended Empty
- * page, arena exhausted), which ends the window — prefetch must never
- * page out on its own behalf.
+ * page, no frame to claim), which ends the window: only the pin
+ * path's peer-served batches reclaim, and they have done so before
+ * their claim.
  */
 bool
 prefetchStepOver(FileCache &c, uint64_t idx)
@@ -1236,7 +1271,7 @@ template <typename IssueFn>
 unsigned
 BufferCache::readAhead(gpu::BlockCtx &ctx, CacheFile &f, uint64_t run_first,
                        uint64_t run_last, unsigned max_fetches,
-                       IssueFn &&issue)
+                       bool may_reclaim, IssueFn &&issue)
 {
     FileCache &c = *f.cache;
     const uint64_t page_size = params_.pageSize;
@@ -1290,9 +1325,19 @@ BufferCache::readAhead(gpu::BlockCtx &ctx, CacheFile &f, uint64_t run_first,
             max_n = shardRunCap(f, idx, max_n);
         }
         // Claim reserve (see submitBatchFetch): prefetch never takes
-        // the frames synchronous pins would need to reclaim.
+        // the frames synchronous pins would need to reclaim. On the pin
+        // path a batch another GPU serves first reclaims the frames it
+        // lacks, as a demand miss would: it costs the daemon one CPU
+        // slot whatever its length, while a host-served window would
+        // queue its page reads ahead of other blocks' demand misses.
+        const uint32_t reserve = claimReserve();
         uint32_t free_frames = arena_.freeCount();
-        uint32_t reserve = claimReserve();
+        if (may_reclaim && free_frames < reserve + max_n &&
+            pageOwner(f, idx) != selfGpu()) {
+            reclaimFrames(ctx, reserve + max_n - free_frames,
+                          f.tenant.load(std::memory_order_relaxed));
+            free_frames = arena_.freeCount();
+        }
         if (free_frames <= reserve)
             break;
         max_n = std::min(max_n, free_frames - reserve);
@@ -1421,8 +1466,10 @@ BufferCache::pinPage(gpu::BlockCtx &ctx, CacheFile &f, uint64_t page_idx,
         *fpage_out = p;
         if (did_init && readAheadEnabled() && !skip_fetch) {
             // The pin path holds no uncollected queue slots, so each
-            // batch may wait for a slot, and is collected at once.
+            // batch may wait for a slot, and is collected at once; for
+            // the same reason it may reclaim for a peer-served batch.
             readAhead(ctx, f, page_idx, page_idx, UINT_MAX,
+                      /*may_reclaim=*/true,
                       [&](PendingFetch &batch, unsigned) {
                           submitClaimedFetch(ctx, f, batch,
                                              /*blocking=*/true);
@@ -1481,12 +1528,14 @@ BufferCache::submitClaimedFetch(gpu::BlockCtx &ctx, CacheFile &f,
     uint8_t *dsts[rpc::kMaxBatchPages];
     for (unsigned i = 0; i < pf.n; ++i)
         dsts[i] = arena_.data(pf.slots[i].frame);
+    // Elevated BEFORE the request reads hostFd and becomes visible to
+    // the daemon: a racing fd release must never observe the RPC
+    // without the mark, and a racing reopen either sees the mark or
+    // this request carries the new fd (see reopenFile).
+    f.fetchInFlight.fetch_add(1);
     rpc::RpcRequest req =
         readRequest(ctx, f, pf.startIdx, dsts, pf.n, pf.single, &pf.peer);
     req.speculative = pf.spec;
-    // Elevated BEFORE the request is visible to the daemon: a racing
-    // fd release must never observe the RPC without the mark.
-    f.fetchInFlight.fetch_add(1);
     pf.rpcSlot = blocking ? queue.submit(req) : queue.trySubmit(req);
     if (!pf.rpcSlot) {
         // Queue full: roll the claim back — the pages resolve through
@@ -1533,8 +1582,8 @@ BufferCache::completeFetch(CacheFile &f, PendingFetch &pf)
                         page_size - got);
         }
     }
-    f.cache->finishInitBatch(pf.slots, pf.n, valid, resp.done, pf.spec,
-                             pf.specStream);
+    f.cache->finishInitBatch(pf.slots, pf.n, valid, resp.pageDone,
+                             pf.spec, pf.specStream);
     cntCacheMisses.inc(pf.n);
     if (pf.spec) {
         // Prefetch feedback: the pages are published and tagged — each
@@ -1543,13 +1592,14 @@ BufferCache::completeFetch(CacheFile &f, PendingFetch &pf)
         cntRaIssued.inc(pf.n);
         f.ra.notePublished(pf.specStream, pf.n);
     }
-    if (pf.single) {
-        // Demand fetch: a page access that held the fpage lock, like
-        // the slow path it replaces (Table 2 accounting parity).
-        cntLocked.inc();
-    } else if (!pf.peer) {
-        cntBatchPages.inc(pf.n);
+    if (!pf.spec) {
+        // Demand fetch: each page is an access that held the fpage
+        // lock, like the slow path it replaces (Table 2 accounting
+        // parity), whether one ReadPage or a batch carried it.
+        cntLocked.inc(pf.n);
     }
+    if (!pf.single && !pf.peer)
+        cntBatchPages.inc(pf.n);
     f.fetchInFlight.fetch_sub(1);
     return Status::Ok;
 }
@@ -1627,6 +1677,7 @@ BufferCache::submitReadAhead(gpu::BlockCtx &ctx, CacheFile &f,
     // Split-phase: each batch goes out non-blocking (the submitter may
     // hold uncollected slots) and stays in flight in out[i].
     return readAhead(ctx, f, run_first, run_last, max_fetches,
+                     /*may_reclaim=*/false,
                      [&](const PendingFetch &batch, unsigned i) {
                          out[i] = batch;
                          return submitClaimedFetch(ctx, f, out[i],

@@ -163,6 +163,22 @@ struct CacheFile {
      *  nonzero count like dirty data: keep the fd, keep the cache. */
     std::atomic<uint32_t> opInFlight{0};
 
+    /** Host fds a reopen replaced while a fetch, write-back or
+     *  unretired op of this file could still carry them (see
+     *  BufferCache::reopenFile). Closed once none can — by the
+     *  post-reclaim fd sweep, or with the entry. Guarded by the
+     *  BufferCache's paging lock. */
+    std::vector<int> retiredFds;
+
+    /** True when no fetch, write-back or unretired async op of this
+     *  file is in flight, so none carries a host fd. */
+    bool
+    fdIdle() const
+    {
+        return wbInFlight.load() == 0 && fetchInFlight.load() == 0 &&
+            opInFlight.load() == 0;
+    }
+
     /** True while something still reaches into the cache, so it must
      *  not be destroyed: an unretired async op, a split-phase fetch,
      *  or a pinned page (a gmmap mapping that outlived gclose). */
@@ -310,8 +326,10 @@ class BufferCache
     /**
      * Reopen a parked file: install the fresh host fd and clear the
      * closed mark, atomically with respect to reclamation. @return the
-     * fd the entry had kept for dirty pages (-1 if none), which the
-     * caller releases once the new claim is established.
+     * fd the entry had kept for dirty pages, which the caller releases
+     * once the new claim is established; -1 if it kept none, or if a
+     * fetch, write-back or unretired op of the file may still carry it
+     * (the file then keeps it in retiredFds until none can).
      */
     int reopenFile(CacheFile &f, int new_host_fd);
 
@@ -411,10 +429,11 @@ class BufferCache
 
     /**
      * Collect one split-phase fetch: wait out the RPC, publish the
-     * pages (valid byte counts + shared DMA-completion readyTime,
-     * locks released, pages Ready but NOT pinned) or roll the claim
-     * back to Empty on failure. Safe from any thread; charges no
-     * block clock — pinners pay via readyTime, as with read-ahead.
+     * pages (valid byte counts + each page's own DMA-completion
+     * readyTime, locks released, pages Ready but NOT pinned) or roll
+     * the claim back to Empty on failure. Safe from any thread;
+     * charges no block clock — pinners pay via readyTime, as with
+     * read-ahead.
      * @return the RPC's status.
      */
     Status completeFetch(CacheFile &f, PendingFetch &pf);
@@ -635,9 +654,10 @@ class BufferCache
     /** Attached files with a live cache, in attach order: what the
      *  eviction policies walk (setupFile adds, destroyFile removes). */
     std::vector<CacheFile *> live_;
-    /** Parked files that kept their host fd, in attach order: the
-     *  post-reclaim release walk visits only these (parkFile adds; a
-     *  release, reopen or destroy removes). */
+    /** Parked files that kept their host fd, and files holding
+     *  retired fds, in attach order: the post-reclaim release walk
+     *  visits only these (parkFile and reopenFile add; a release,
+     *  reopen or destroy removes). */
     std::vector<CacheFile *> keptFd_;
     /** Leaf lock (never held around another) over evictedParked_ and
      *  each file's evictNoted flag. */
@@ -756,10 +776,13 @@ class BufferCache
      * (planReadAhead, exactly one plan per miss) and walks it: a
      * contiguous window in batches clipped at EOF, radix capacity,
      * the shard group and the claim reserve; a strided one a page per
-     * RPC (the gaps must not be fetched). Resident or in-flight pages
-     * are stepped over; anything else ends the window, since prefetch
-     * never pages out. Each claimed batch, published speculative, goes
-     * to @p issue(pf, i), i being the batches issued before it, which
+     * RPC (the gaps must not be fetched). When @p may_reclaim (the pin
+     * path, which holds no uncollected queue slots), a batch another
+     * GPU serves first reclaims the frames the arena lacks above the
+     * reserve; every other batch takes free frames only. Resident or
+     * in-flight pages are stepped over; anything else ends the window.
+     * Each claimed batch, published speculative, goes to
+     * @p issue(pf, i), i being the batches issued before it, which
      * submits it and returns false to end the window (claim rolled
      * back or RPC failed). Stops after @p max_fetches batches, then
      * advances the stream past the covered span. @return batches
@@ -768,7 +791,8 @@ class BufferCache
     template <typename IssueFn>
     unsigned readAhead(gpu::BlockCtx &ctx, CacheFile &f,
                        uint64_t run_first, uint64_t run_last,
-                       unsigned max_fetches, IssueFn &&issue);
+                       unsigned max_fetches, bool may_reclaim,
+                       IssueFn &&issue);
 
     /**
      * The read RPC for pages [start_idx, start_idx + n) of @p f landing
@@ -801,8 +825,9 @@ class BufferCache
                            unsigned n, bool zero_diff, Time issue,
                            Time *done_out);
 
-    /** Release @p f's kept host fd once it is parked clean with
-     *  nothing in flight. @return true iff released. */
+    /** Once nothing of @p f is in flight, close its retired fds, and
+     *  its kept host fd if it is parked clean. @return true iff it no
+     *  longer holds an fd for the sweep (dropped from keptFd_). */
     bool maybeReleaseClosedFdLocked(gpu::BlockCtx &ctx, CacheFile &f);
 };
 

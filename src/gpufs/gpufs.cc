@@ -147,6 +147,10 @@ GpuFs::destroyEntryLocked(int idx, std::vector<int> &closes)
 {
     OpenFile &entry = table_.at(idx);
     bc_.destroyFile(entry.cf);
+    // Off the paging lists now, so no fd sweep reaches these any more.
+    closes.insert(closes.end(), entry.cf.retiredFds.begin(),
+                  entry.cf.retiredFds.end());
+    entry.cf.retiredFds.clear();
     if (entry.cf.hostFd >= 0) {
         closes.push_back(entry.cf.hostFd);
         entry.cf.hostFd = -1;
@@ -295,7 +299,9 @@ GpuFs::installOpenLocked(gpu::BlockCtx &ctx, const std::string &path,
             e.cf.size.store(resp.size, std::memory_order_relaxed);
             if (old_fd >= 0) {
                 // The entry had kept its fd for dirty pages; the new
-                // claim is established, release the old one.
+                // claim is established, release the old one (unless a
+                // request may still carry it: reopenFile then keeps it
+                // retired and returns -1).
                 closes.push_back(old_fd);
             }
             return cidx;

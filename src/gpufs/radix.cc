@@ -215,7 +215,7 @@ FileCache::beginInitBatch(uint64_t start_idx, unsigned max_n,
 
 void
 FileCache::finishInitBatch(const BatchSlot *slots, unsigned n,
-                           const uint32_t *valid, Time ready,
+                           const uint32_t *valid, const Time *ready,
                            bool speculative, uint8_t stream)
 {
     for (unsigned i = 0; i < n; ++i) {
@@ -233,7 +233,7 @@ FileCache::finishInitBatch(const BatchSlot *slots, unsigned n,
             pf.speculative.store(true, std::memory_order_release);
         // The prefetching block does not wait: readyTime gates whoever
         // pins the page first.
-        pf.readyTime.store(ready, std::memory_order_release);
+        pf.readyTime.store(ready[i], std::memory_order_release);
         slots[i].page->state.store(kPageReady, std::memory_order_release);
         slots[i].page->lock.unlock();
     }

@@ -268,9 +268,10 @@ class FileCache
     unsigned beginInitBatch(uint64_t start_idx, unsigned max_n,
                             BatchSlot *out);
 
-    /** Publish a filled batch: per-page valid byte counts, a shared
-     *  DMA-completion time gating first use, pages become Ready and
-     *  unlocked. Batch pages are NOT pinned (prefetch semantics).
+    /** Publish a filled batch: per-page valid byte counts and
+     *  DMA-completion times (@p ready[i] gates the first use of page
+     *  i), pages become Ready and unlocked. Batch pages are NOT pinned
+     *  (prefetch semantics).
      *  @p speculative tags each page's frame for prefetch-feedback
      *  accounting (read-ahead batches; demand batches pass false) —
      *  set under the fpage lock so a racing first pin always observes
@@ -278,7 +279,7 @@ class FileCache
      *  (kNoStream for demand and static-policy batches), stamped into
      *  each frame so promotion/waste route to the issuing stream. */
     void finishInitBatch(const BatchSlot *slots, unsigned n,
-                         const uint32_t *valid, Time ready,
+                         const uint32_t *valid, const Time *ready,
                          bool speculative,
                          uint8_t stream = ReadAheadStreams::kNoStream);
 
@@ -321,8 +322,10 @@ class FileCache
      * A leaf never moves once created, so on one file this takes the
      * lowest page indices first whatever their reuse. Pages for which
      * @p keep(page_idx) returns true are passed over (the sharded
-     * cache keeps the pages this GPU owns on a first walk). Dirty
-     * pages are skipped unless @p allow_dirty, in which case
+     * cache keeps the pages this GPU owns on a first walk), and so,
+     * when @p keep_unread, are prefetched pages no block has read yet
+     * (frames still tagged speculative). Dirty pages are skipped
+     * unless @p allow_dirty, in which case
      * @p writeback is invoked (under the fpage lock) with
      * (page_idx, data, dirty_lo, dirty_hi) before the frame is freed.
      * @p demote is invoked (still under the fpage lock, after any
@@ -332,8 +335,8 @@ class FileCache
      */
     template <typename KeepFn, typename WbFn, typename DemoteFn>
     unsigned
-    reclaim(unsigned want, bool allow_dirty, KeepFn &&keep,
-            WbFn &&writeback, DemoteFn &&demote)
+    reclaim(unsigned want, bool allow_dirty, bool keep_unread,
+            KeepFn &&keep, WbFn &&writeback, DemoteFn &&demote)
     {
         unsigned freed = 0;
         for (RadixNode *n = fifoTail.load(std::memory_order_acquire);
@@ -343,7 +346,8 @@ class FileCache
                 if (keep(n->baseIdx + i))
                     continue;
                 freed += tryEvictPage(n->pages[i], n->baseIdx + i,
-                                      allow_dirty, writeback, demote);
+                                      allow_dirty, keep_unread, writeback,
+                                      demote);
             }
         }
         return freed;
@@ -353,8 +357,8 @@ class FileCache
     unsigned
     reclaim(unsigned want, bool allow_dirty, WbFn &&writeback)
     {
-        return reclaim(want, allow_dirty, keepNothing, writeback,
-                       noDemote);
+        return reclaim(want, allow_dirty, /*keep_unread=*/false,
+                       keepNothing, writeback, noDemote);
     }
 
     /**
@@ -382,7 +386,8 @@ class FileCache
         // tree, so pageIdx cannot be stale once identity holds;
         // tryEvictPage re-verifies state/refs under the fpage lock.
         return tryEvictPage(*p, pf.pageIdx.load(std::memory_order_relaxed),
-                            allow_dirty, writeback, demote);
+                            allow_dirty, /*keep_unread=*/false, writeback,
+                            demote);
     }
 
     template <typename WbFn>
@@ -529,7 +534,7 @@ class FileCache
     template <typename WbFn, typename DemoteFn>
     unsigned
     tryEvictPage(FPage &p, uint64_t page_idx, bool allow_dirty,
-                 WbFn &&writeback, DemoteFn &&demote)
+                 bool keep_unread, WbFn &&writeback, DemoteFn &&demote)
     {
         if (p.state.load(std::memory_order_acquire) != kPageReady ||
             p.refs.load(std::memory_order_relaxed) != 0) {
@@ -537,7 +542,13 @@ class FileCache
         }
         if (!p.lock.tryLock())
             return 0;
-        if (p.state.load(std::memory_order_acquire) != kPageReady) {
+        // The speculative tag is read under the fpage lock: a Ready
+        // page's frame is stable there, and the tag can only clear (a
+        // first pin promotes it, and then refs keeps the page anyway).
+        if (p.state.load(std::memory_order_acquire) != kPageReady ||
+            (keep_unread &&
+             arena.frame(p.frame.load(std::memory_order_relaxed))
+                 .speculative.load(std::memory_order_relaxed))) {
             p.lock.unlock();
             return 0;
         }

@@ -756,7 +756,7 @@ CpuDaemon::peerSourceOf(const RpcRequest &req)
     return ports[req.peerGpu]->peerSource.load(std::memory_order_acquire);
 }
 
-Time
+sim::Grant
 CpuDaemon::chargeP2pDma(gpu::GpuDevice &dev, unsigned src, unsigned dst,
                         uint64_t bytes, Time ready)
 {
@@ -764,12 +764,12 @@ CpuDaemon::chargeP2pDma(gpu::GpuDevice &dev, unsigned src, unsigned dst,
     const auto &p = sim.params;
     bytesPeer.inc(bytes);
     if (bytes == 0 || !p.chargeDma)
-        return ready;
+        return {ready, ready};
     Time dur = p.p2pDmaSetup + transferTime(bytes, p.pcieP2PBwMBps);
     // One reservation per request on the pair's own channel: peer
     // transfers of different GPU pairs overlap instead of serializing
     // on the daemon's cpuIo path or the host PCIe links.
-    return sim.p2p(src, dst).reserve(ready, dur).end;
+    return sim.p2p(src, dst).reserve(ready, dur);
 }
 
 Status
@@ -792,6 +792,7 @@ CpuDaemon::servePages(gpu::GpuDevice &dev, const RpcRequest *const *reqs,
         PeerCopy why[kMaxBatchPages] = {};
     };
     std::vector<Pages> pages(k);
+    const auto &hp = dev.simContext().params;
 
     // Source 1, PeerReadPages only: the owner GPU's resident frames.
     // The copy itself is functional (the provider pins the owner frame
@@ -833,9 +834,24 @@ CpuDaemon::servePages(gpu::GpuDevice &dev, const RpcRequest *const *reqs,
                 ++pg.forwarded;
             }
         }
-        if (p2p_bytes > 0) {
-            resps[m].done = chargeP2pDma(dev, req.peerGpu, req.gpuId,
-                                         p2p_bytes, p2p_ready);
+        if (p2p_bytes == 0)
+            continue;
+        const sim::Grant dma = chargeP2pDma(dev, req.peerGpu, req.gpuId,
+                                            p2p_bytes, p2p_ready);
+        resps[m].done = dma.end;
+        // The served pages stream in batch order: each is in GPU memory
+        // once the copy has moved the bytes through it, so a reader of
+        // the first page does not wait for the last (the last lands at
+        // the DMA's end).
+        uint64_t through = 0;
+        for (unsigned i = 0; i < pg.n; ++i) {
+            if (!pg.served[i])
+                continue;
+            through += pg.plen;
+            resps[m].pageDone[i] = dma.end == dma.start
+                ? dma.end
+                : dma.start + hp.p2pDmaSetup +
+                    transferTime(through, hp.pcieP2PBwMBps);
         }
     }
 
@@ -952,10 +968,14 @@ CpuDaemon::servePages(gpu::GpuDevice &dev, const RpcRequest *const *reqs,
             resp.done = std::max(resp.done, storage_done);
         if (pg.fromVictim)
             resp.done = std::max(resp.done, vc_done);
-        for (unsigned i = 0; i < pg.n; ++i)
+        const bool peer = reqs[m]->op == RpcOp::PeerReadPages;
+        for (unsigned i = 0; i < pg.n; ++i) {
             resp.bytes += pg.valid[i];
+            if (!peer || pg.why[i] != PeerCopy::Served)
+                resp.pageDone[i] = resp.done;  // victim tier or storage
+        }
         resp.peerPages = pg.forwarded;
-        if (reqs[m]->op == RpcOp::PeerReadPages) {
+        if (peer) {
             peerPagesForwarded.inc(pg.forwarded);
             peerPagesHost.inc(pg.n - pg.forwarded);
             for (unsigned i = 0; i < pg.n; ++i) {
@@ -1059,7 +1079,7 @@ CpuDaemon::applyWrites(gpu::GpuDevice &dev, const RpcRequest &req, Time t0)
     if (p2p_bytes > 0) {
         resp.done = std::max(resp.done,
                              chargeP2pDma(dev, req.gpuId, req.peerGpu,
-                                          p2p_bytes, t0));
+                                          p2p_bytes, t0).end);
     }
     // A fully-mirrored batch leaves the owner's cache equal to the
     // post-write host content, so the owner's version advances with

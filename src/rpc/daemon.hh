@@ -291,9 +291,10 @@ class CpuDaemon
     PeerPageSource *peerSourceOf(const RpcRequest &req);
 
     /** Charge one P2P DMA of @p bytes from GPU @p src to GPU @p dst on
-     *  their pair channel, ready at @p ready. */
-    Time chargeP2pDma(gpu::GpuDevice &dev, unsigned src, unsigned dst,
-                      uint64_t bytes, Time ready);
+     *  their pair channel, ready at @p ready. @return the transfer's
+     *  interval (empty at @p ready when nothing is charged). */
+    sim::Grant chargeP2pDma(gpu::GpuDevice &dev, unsigned src, unsigned dst,
+                            uint64_t bytes, Time ready);
 
     /** Track (fd -> ino, write, durable) for consistency release and
      *  the journal's per-file gate. */

@@ -141,6 +141,11 @@ struct RpcResponse {
      *  remainder fell back to the normal host path. */
     uint32_t peerPages = 0;
     Time done = 0;              ///< virtual completion time
+    /** ReadPage/ReadPages/PeerReadPages: when each page of the batch
+     *  is in GPU memory. A page the owner served over P2P lands as
+     *  soon as the DMA has moved the bytes through it; every other
+     *  page carries done, the batch's end. */
+    Time pageDone[kMaxBatchPages] = {};
 };
 
 } // namespace rpc

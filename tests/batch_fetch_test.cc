@@ -221,12 +221,10 @@ TEST(BatchFetchTest, SplitPhaseDemandPageCountsOneMissAndNoHit)
         EXPECT_EQ(0u, cold.hits);
         EXPECT_EQ(kPages, cold.misses);
         EXPECT_EQ(0u, cold.lockfree);
-        if (how != Reader::Greadv) {
-            // A per-page demand miss counts one locked access,
-            // split-phase or not; a batched demand run counts none, as
-            // a read-ahead batch does.
-            EXPECT_EQ(kPages, cold.locked);
-        }
+        // Every demand page counts one locked access, split-phase or
+        // not, whether one ReadPage or a batched run carried it (a
+        // read-ahead batch counts none).
+        EXPECT_EQ(kPages, cold.locked);
 
         // Warm: every page is a lock-free hit.
         Counts warm = pass(*sys, ctx, fd, how);

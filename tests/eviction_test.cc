@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "consistency/consistency.hh"
@@ -35,12 +36,14 @@ class EvictionTest : public ::testing::Test
     void TearDown() override { daemon.stop(); }
 
     std::unique_ptr<BufferCache>
-    makeCache(EvictionPolicyKind kind, uint64_t frames)
+    makeCache(EvictionPolicyKind kind, uint64_t frames,
+              std::optional<unsigned> read_ahead_pages = std::nullopt)
     {
         GpuFsParams p;
         p.pageSize = kPage;
         p.cacheBytes = frames * kPage;
         p.evictPolicy = kind;
+        p.readAheadPages = read_ahead_pages;
         return std::make_unique<BufferCache>(dev, *queue, p, stats);
     }
 
@@ -233,6 +236,56 @@ TEST_F(EvictionTest, ShardedFileEvictsOtherGpusPagesFirst)
             expect.push_back(i);
     }
     EXPECT_EQ(expect, evictionOrder("/private", nullptr, pinned));
+}
+
+// Unread prefetched pages are evicted last: a reclaim the file's read
+// pages can cover leaves them resident, and one they cannot cover takes
+// them only after every read page, each counted in ra_wasted. Leaf
+// order puts the unread pages first in the FIFO walk.
+TEST_F(EvictionTest, UnreadPrefetchedPagesAreEvictedLast)
+{
+    // A static 4-page window on every miss; 32 frames leave the claim
+    // reserve (8) free for it.
+    auto bc = makeCache(EvictionPolicyKind::PaperTiered, 32, 4);
+    test::addRamp(fs, "/ra", 80 * kPage);
+    auto ctx = test::makeBlock(dev);
+    CacheFile f;
+    openFile(*bc, f, "/ra", false);
+    auto pin = [&](uint64_t idx) {
+        uint32_t frame;
+        FPage *fp;
+        ASSERT_EQ(Status::Ok,
+                  bc->pinPage(ctx, f, idx, &frame, &fp, false));
+        f.cache->unpin(*fp);
+    };
+    // Leaf 0 (pages 0-63, the oldest): page 0 read, 1-4 prefetched and
+    // never read. Leaf 1: page 64 and its window 65-68, all read.
+    pin(0);
+    for (uint64_t idx = 64; idx <= 68; ++idx)
+        pin(idx);
+    const std::vector<uint64_t> unread = {1, 2, 3, 4};
+    for (uint64_t idx : unread)
+        ASSERT_TRUE(pageResident(f, idx)) << idx;
+    Counter &wasted = stats.counter("ra_wasted");
+    ASSERT_EQ(0u, wasted.get());
+
+    // Six read pages cover a six-frame reclaim.
+    EXPECT_EQ(6u, bc->reclaimFrames(ctx, 6));
+    EXPECT_FALSE(pageResident(f, 0));
+    for (uint64_t idx = 64; idx <= 68; ++idx)
+        EXPECT_FALSE(pageResident(f, idx)) << idx;
+    for (uint64_t idx : unread)
+        EXPECT_TRUE(pageResident(f, idx)) << idx;
+    EXPECT_EQ(0u, wasted.get());
+
+    // No read page is left: the next reclaim takes unread ones, in the
+    // walk's order, and counts each as wasted.
+    EXPECT_EQ(2u, bc->reclaimFrames(ctx, 2));
+    EXPECT_FALSE(pageResident(f, 1));
+    EXPECT_FALSE(pageResident(f, 2));
+    EXPECT_TRUE(pageResident(f, 3));
+    EXPECT_TRUE(pageResident(f, 4));
+    EXPECT_EQ(2u, wasted.get());
 }
 
 /** Every EvictionPolicyKind value. */

@@ -595,7 +595,10 @@ constexpr auto kWait = std::chrono::seconds(5);
  * fixture. Opens get a fresh host fd and the path's inode at version 1;
  * Closes must name an fd an Open handed out. An Open of a held path
  * waits until the test releases it, and every Open waits at least
- * openDelay, so Opens of different blocks can overlap.
+ * openDelay, so Opens of different blocks can overlap. A ReadPage on
+ * an open fd fills its page with kReadByte, one on any other fd fails
+ * with BadFd; while reads are held they wait until the test releases
+ * them.
  */
 class ScriptedHost
 {
@@ -610,11 +613,14 @@ class ScriptedHost
     ScriptedHost(const ScriptedHost &) = delete;
     ScriptedHost &operator=(const ScriptedHost &) = delete;
 
+    static constexpr uint8_t kReadByte = 0x5a;
+
     ~ScriptedHost()
     {
         {
             std::lock_guard<std::mutex> lock(mtx_);
             holds_.clear();
+            holdReads_ = false;
             stop_ = true;
         }
         server_.join();
@@ -645,6 +651,39 @@ class ScriptedHost
     {
         std::lock_guard<std::mutex> lock(mtx_);
         holds_.erase(path);
+    }
+
+    /** Hold every ReadPage until releaseReads. */
+    void
+    holdReads()
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        holdReads_ = true;
+    }
+
+    /** Answer the held ReadPages and stop holding them. */
+    void
+    releaseReads()
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        holdReads_ = false;
+    }
+
+    /** Wait until @p n ReadPages are held; false on timeout. */
+    bool
+    waitReadsHeld(size_t n)
+    {
+        std::unique_lock<std::mutex> lock(mtx_);
+        return cv_.wait_for(lock, kWait,
+                            [&] { return heldReads_.size() >= n; });
+    }
+
+    /** Host fds named by answered ReadPages, in answer order. */
+    std::vector<int>
+    readFds() const
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        return read_;
     }
 
     /** Wait until @p n Opens of @p path are held; false on timeout. */
@@ -735,10 +774,18 @@ class ScriptedHost
                 std::lock_guard<std::mutex> lock(mtx_);
                 const auto now = std::chrono::steady_clock::now();
                 for (unsigned i = 0; i < n; ++i) {
-                    if (batch[i]->req.op == rpc::RpcOp::Open)
+                    const rpc::RpcOp op = batch[i]->req.op;
+                    if (op == rpc::RpcOp::Open)
                         held_.push_back({batch[i], now});
+                    else if (op == rpc::RpcOp::ReadPage && holdReads_)
+                        heldReads_.push_back(batch[i]);
                     else
                         answers.push_back({batch[i], answerLocked(*batch[i])});
+                }
+                if (!holdReads_) {
+                    for (rpc::RpcSlot *slot : heldReads_)
+                        answers.push_back({slot, answerLocked(*slot)});
+                    heldReads_.clear();
                 }
                 peakInFlight_ = std::max(peakInFlight_, held_.size());
                 for (auto it = held_.begin(); it != held_.end();) {
@@ -756,7 +803,7 @@ class ScriptedHost
                         ++it;
                     }
                 }
-                done = stop_ && held_.empty();
+                done = stop_ && held_.empty() && heldReads_.empty();
             }
             cv_.notify_all();
             for (auto &[slot, resp] : answers)
@@ -786,6 +833,15 @@ class ScriptedHost
         } else if (req.op == rpc::RpcOp::Close) {
             closed_.push_back(req.hostFd);
             badCloses_ += live_.erase(req.hostFd) == 0;
+        } else if (req.op == rpc::RpcOp::ReadPage) {
+            read_.push_back(req.hostFd);
+            if (live_.count(req.hostFd) == 0) {
+                resp.status = Status::BadFd;
+            } else {
+                std::memset(req.data, kReadByte, req.len);
+                resp.bytes = req.len;
+                resp.pageDone[0] = resp.done;
+            }
         } else {
             resp.status = Status::NotSupported;
         }
@@ -804,10 +860,12 @@ class ScriptedHost
     /** Held paths and how many of their Opens may be answered. */
     std::map<std::string, unsigned> holds_;
     std::deque<HeldOpen> held_;
+    bool holdReads_ = false;
+    std::vector<rpc::RpcSlot *> heldReads_;
     std::map<std::string, uint64_t> inos_;
     int nextFd_ = 100;
     unsigned opens_ = 0;
-    std::vector<int> opened_, closed_;
+    std::vector<int> opened_, closed_, read_;
     std::set<int> live_;
     size_t badCloses_ = 0;
     size_t peakInFlight_ = 0;
@@ -953,6 +1011,69 @@ TEST(OpenOutsideTableLock, RacingWriterOfReadOnlyEntryGetsNotSupported)
     EXPECT_EQ(Status::Ok, fs.gclose(ctx, fd_ro));
     EXPECT_EQ(0u, host.unbalanced());
     EXPECT_EQ(0u, fs.hostFdsHeld());
+}
+
+// A reopen must not close the host fd another block's read still
+// carries: the host would answer the Close first, and the read would
+// then find its fd closed. The entry keeps the replaced fd retired
+// until nothing in flight can carry it, and the fd sweep after a
+// reclaim closes it. gread's demand fetch goes out split-phase, gmmap's
+// on the pin path.
+TEST(OpenOutsideTableLock, ReopenKeepsTheFdAnotherBlocksReadCarries)
+{
+    for (bool mmap : {false, true}) {
+        SCOPED_TRACE(mmap ? "gmmap" : "gread");
+        ScriptedHost host;
+        GpuFs &fs = host.fs();
+        gpu::BlockCtx ctx_a = host.block(0);
+        const int fd = fs.gopen(ctx_a, "/r", G_RDONLY);
+        ASSERT_GE(fd, 0);
+
+        // B's read goes out on the entry's host fd and waits at the
+        // host.
+        host.holdReads();
+        std::vector<uint8_t> buf(64, 0);
+        bool read_ok = false;
+        std::thread b([&] {
+            gpu::BlockCtx ctx = host.block(1);
+            if (!mmap) {
+                read_ok = fs.gread(ctx, fd, 0, buf.size(), buf.data()) ==
+                    int64_t(buf.size());
+                return;
+            }
+            uint64_t mapped = 0;
+            void *ptr = fs.gmmap(ctx, fd, 0, buf.size(), &mapped);
+            if (ptr) {
+                std::memcpy(buf.data(), ptr, buf.size());
+                read_ok = fs.gmunmap(ctx, ptr) == Status::Ok;
+            }
+        });
+        const bool read_out = host.waitReadsHeld(1);
+        // A's close parks the entry while B's read is out, so it keeps
+        // the fd; C's gopen then reuses the parked cache on a new fd.
+        EXPECT_EQ(Status::Ok, fs.gclose(ctx_a, fd));
+        gpu::BlockCtx ctx_c = host.block(2);
+        const int fd_c = fs.gopen(ctx_c, "/r", G_RDONLY);
+        const std::vector<int> closed_before_read = host.closedFds();
+        host.releaseReads();
+        b.join();
+
+        ASSERT_TRUE(read_out);
+        EXPECT_EQ(fd, fd_c);
+        const std::vector<int> opened = host.openedFds();
+        ASSERT_EQ(2u, opened.size());
+        EXPECT_EQ(std::vector<int>{opened[0]}, host.readFds());
+        EXPECT_TRUE(closed_before_read.empty());
+        EXPECT_TRUE(read_ok);
+        EXPECT_EQ(ScriptedHost::kReadByte, buf[0]);
+
+        EXPECT_EQ(Status::Ok, fs.gclose(ctx_c, fd_c));
+        EXPECT_EQ(std::vector<int>{opened[1]}, host.closedFds());
+        fs.bufferCache().reclaimFrames(ctx_c, 1);
+        EXPECT_EQ((std::vector<int>{opened[1], opened[0]}),
+                  host.closedFds());
+        EXPECT_EQ(0u, host.unbalanced());
+    }
 }
 
 TEST(OpenOutsideTableLock, ConcurrentOpenersCloseEveryHostFd)

@@ -696,6 +696,66 @@ TEST_F(PageServiceTest, PeerFallbackGapsShareOneStorageRead)
     daemon.setPeerSource(1, nullptr);
 }
 
+// P2P batches land page by page: a page the owner serves is in GPU
+// memory once the DMA has moved the bytes through it, the last one at
+// the response's done. With idle timelines and the request issued at
+// 0, the DMA starts when the daemon's CPU slot ends.
+class PeerArrivalTest : public PageServiceTest
+{
+  protected:
+    /** When a P2P DMA of the first @p pages served pages is done. */
+    Time
+    landed(unsigned pages) const
+    {
+        const auto &hp = sim.params;
+        return hp.rpcSubmitLat + hp.rpcCpuOverhead + hp.p2pDmaSetup +
+            transferTime(pages * kPage, hp.pcieP2PBwMBps);
+    }
+
+    /** A PeerReadPages of file pages [0, n) from an owner holding
+     *  @p held. */
+    RpcResponse
+    peerRead(unsigned n, std::vector<uint64_t> held)
+    {
+        FixedPeerSource owner(std::move(held), kPage);
+        daemon.setPeerSource(1, &owner);
+        daemon.start();
+        RpcRequest req = readPages(0, n, 0);
+        req.op = RpcOp::PeerReadPages;
+        req.gpuId = 0;
+        req.peerGpu = 1;
+        req.ino = info.ino;
+        req.version = info.version;
+        RpcResponse resp = q0->call(req);
+        daemon.setPeerSource(1, nullptr);
+        EXPECT_EQ(Status::Ok, resp.status);
+        expectRamp(0, n, 0);
+        return resp;
+    }
+};
+
+TEST_F(PeerArrivalTest, OwnerServedPagesLandOneByOne)
+{
+    RpcResponse resp = peerRead(4, {0, 1, 2, 3});
+    EXPECT_EQ(4u, resp.peerPages);
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_EQ(landed(i + 1), resp.pageDone[i]) << i;
+    EXPECT_EQ(resp.done, resp.pageDone[3]);
+}
+
+TEST_F(PeerArrivalTest, HostFallbackPageCarriesDone)
+{
+    // Page 2 falls back to the host; the served pages still stream in
+    // batch order, and the batch ends after the host read.
+    RpcResponse resp = peerRead(4, {0, 1, 3});
+    EXPECT_EQ(3u, resp.peerPages);
+    EXPECT_EQ(landed(1), resp.pageDone[0]);
+    EXPECT_EQ(landed(2), resp.pageDone[1]);
+    EXPECT_EQ(landed(3), resp.pageDone[3]);
+    EXPECT_EQ(resp.done, resp.pageDone[2]);
+    EXPECT_GT(resp.done, landed(3));
+}
+
 } // namespace
 } // namespace rpc
 } // namespace gpufs

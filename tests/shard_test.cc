@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -659,6 +660,110 @@ TEST(ShardTest, OwnersKeepTheirShardResidentUnderPressure)
         auto ctx = test::makeBlock(sys->device(g));
         sys->fs(g).gclose(ctx, fds[g]);
     }
+}
+
+// Read-ahead survives a full arena on the peer path. The `shared`
+// benchmark's shape at half scale, with 128 KB pages, each pass one GPU
+// at a time: once both arenas are full, a non-owner miss's window
+// reclaims the frames it lacks and forwards its shard group's run over
+// P2P in a few PeerReadPages. Unread prefetched pages are evicted last,
+// so none dies unread, and each page of a window is ready once the copy
+// has moved it, so no read of a prefetched page waits longer than a
+// demand miss.
+TEST(ShardTest, PeerServedWindowsReclaimInAFullArena)
+{
+    constexpr unsigned kGpus = 2;
+    constexpr uint64_t kPg = 128 * KiB;
+    constexpr uint64_t kFrames = 256;
+    constexpr uint64_t kFilePages = kFrames * 3 / 2;
+    constexpr unsigned kGroup = 16;
+    auto sys = makeShardSystem(kGpus, ShardPolicy::HashPageGroup, kPg,
+                               kFrames * kPg, kGroup);
+    // The first file takes inode 1; /ra's inode 2 splits it evenly.
+    test::addRamp(sys->hostFs(), "/pad", kPg);
+    test::addRamp(sys->hostFs(), "/ra", kFilePages * kPg);
+    hostfs::FileInfo info;
+    ASSERT_EQ(Status::Ok, sys->hostFs().stat("/ra", &info));
+    // Each owner's share, the claim reserve and a window batch must fit
+    // one arena. Deterministic hash: fails only if the geometry above
+    // is changed.
+    const uint32_t reserve = sys->fs(0).bufferCache().claimReserve();
+    for (unsigned g = 0; g < kGpus; ++g) {
+        uint64_t owned = 0;
+        for (uint64_t idx = 0; idx < kFilePages; ++idx)
+            owned += sys->shardMap().ownerOf(info.ino, idx) == g;
+        ASSERT_LE(owned + reserve + kGroup, kFrames) << g;
+    }
+
+    std::vector<gpu::BlockCtx> ctx;
+    int fds[kGpus];
+    for (unsigned g = 0; g < kGpus; ++g) {
+        ctx.push_back(test::makeBlock(sys->device(g)));
+        fds[g] = sys->fs(g).gopen(ctx[g], "/ra", G_RDONLY);
+        ASSERT_GE(fds[g], 0);
+    }
+    // The pages every read RPC of every GPU carried, and the RPCs.
+    auto readPages = [&] {
+        uint64_t n = 0;
+        for (unsigned g = 0; g < kGpus; ++g) {
+            for (const char *c : {"read_rpcs", "batch_read_pages",
+                                  "peer_pages_forwarded",
+                                  "peer_pages_fallback"})
+                n += counterOf(sys->fs(g), c);
+        }
+        return n;
+    };
+    auto readRpcs = [&] {
+        uint64_t n = 0;
+        for (unsigned g = 0; g < kGpus; ++g) {
+            for (const char *c :
+                 {"read_rpcs", "batch_read_rpcs", "peer_read_rpcs"})
+                n += counterOf(sys->fs(g), c);
+        }
+        return n;
+    };
+    // One pass over the file in order on GPU g: the slowest gread, and
+    // the slowest one that took a demand miss.
+    Time slowest = 0, slowest_miss = 0;
+    auto scan = [&](unsigned g) {
+        GpuFs &fs = sys->fs(g);
+        // Each pass starts once the one before it has ended.
+        for (unsigned o = 0; o < kGpus; ++o)
+            ctx[g].waitUntil(ctx[o].now());
+        std::vector<uint8_t> b(kPg);
+        for (uint64_t idx = 0; idx < kFilePages; ++idx) {
+            const uint64_t misses = counterOf(fs, "cache_misses");
+            const Time start = ctx[g].now();
+            ASSERT_EQ(int64_t(kPg),
+                      fs.gread(ctx[g], fds[g], idx * kPg, kPg, b.data()));
+            const Time took = ctx[g].now() - start;
+            slowest = std::max(slowest, took);
+            if (counterOf(fs, "cache_misses") != misses)
+                slowest_miss = std::max(slowest_miss, took);
+            for (uint64_t i = 0; i < kPg; i += 4093)
+                ASSERT_EQ(test::rampByte(idx * kPg + i), b[i]) << idx;
+        }
+    };
+
+    for (unsigned g = 0; g < kGpus; ++g)
+        scan(g);
+    const uint64_t pages0 = readPages(), rpcs0 = readRpcs();
+    slowest = slowest_miss = 0;
+    for (unsigned g = 0; g < kGpus; ++g)
+        scan(g);
+
+    const uint64_t rpcs = readRpcs() - rpcs0;
+    ASSERT_GT(rpcs, 0u);
+    // One page per RPC when windows stopped at the claim reserve.
+    EXPECT_GT(double(readPages() - pages0) / double(rpcs), 2.0);
+    for (unsigned g = 0; g < kGpus; ++g) {
+        EXPECT_GT(counterOf(sys->fs(g), "ra_issued"), 0u) << g;
+        EXPECT_EQ(0u, counterOf(sys->fs(g), "ra_wasted")) << g;
+    }
+    ASSERT_GT(slowest_miss, 0u);
+    EXPECT_LE(slowest, slowest_miss);
+    for (unsigned g = 0; g < kGpus; ++g)
+        sys->fs(g).gclose(ctx[g], fds[g]);
 }
 
 } // namespace
